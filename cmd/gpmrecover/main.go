@@ -12,20 +12,17 @@
 //	gpmrecover -sweep -recrash-depth 2      # also re-crash during recovery
 //	gpmrecover -sweep -json                 # machine-readable records
 //	gpmrecover -sweep -workers 8            # parallel sweep (same verdicts)
-//	gpmrecover -bench BENCH_parallel.json   # serial vs parallel wall-clock
 //	gpmrecover -workload gpKVS -mode GPM -faultmodel torn-lines \
 //	    -crashat 1234 -faultseed 99         # replay one shrunk failure
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
 	"strings"
-	"time"
 
 	"github.com/gpm-sim/gpm/internal/crash"
 	"github.com/gpm-sim/gpm/internal/experiments"
@@ -41,7 +38,7 @@ type cliOptions struct {
 	runs, points, depth, workers, faultLim int
 	stride, every, crashAt                 int64
 	models, mode                           string
-	sweep, bench                           bool
+	sweep                                  bool
 }
 
 // validateCLI checks cross-flag consistency and value ranges. Notably:
@@ -78,8 +75,8 @@ func validateCLI(o cliOptions) error {
 		return fmt.Errorf("-faultmodel: %w (valid: %s)", err, strings.Join(modelNames(), ", "))
 	}
 	replaying := o.crashAt >= 0
-	if o.models != "" && !o.sweep && !o.bench && !replaying {
-		return fmt.Errorf("-faultmodel only applies with -sweep, -bench, or -crashat replay (legacy stress always uses the clean model)")
+	if o.models != "" && !o.sweep && !replaying {
+		return fmt.Errorf("-faultmodel only applies with -sweep or -crashat replay (legacy stress always uses the clean model)")
 	}
 	if o.mode != "" {
 		if !replaying {
@@ -120,7 +117,6 @@ func main() {
 		asJSON    = flag.Bool("json", false, "emit campaign results as JSON")
 		metricsTo = flag.String("metrics", "", "write the telemetry metrics registry (crash/fault counters included) as TSV to this file")
 		workers   = flag.Int("workers", runtime.GOMAXPROCS(0), "concurrent campaign runs and GPU block goroutines (1 = serial reference; results are identical for every value)")
-		benchTo   = flag.String("bench", "", "benchmark the campaign serially vs with -workers, verify identical verdicts, and write the wall-clock comparison as JSON to this file")
 
 		// Replay flags (the shrinker's Replay string uses these).
 		modeName  = flag.String("mode", "", "persistence mode for -crashat replay (e.g. GPM)")
@@ -134,7 +130,7 @@ func main() {
 		runs: *runs, points: *points, depth: *depth, workers: *workers, faultLim: *faultLim,
 		stride: *stride, every: *every, crashAt: *crashAt,
 		models: *models, mode: *modeName,
-		sweep: *sweep, bench: *benchTo != "",
+		sweep: *sweep,
 	}); err != nil {
 		fmt.Fprintln(os.Stderr, "gpmrecover:", err)
 		flag.Usage()
@@ -165,8 +161,6 @@ func main() {
 
 	var code int
 	switch {
-	case *benchTo != "":
-		code = bench(mks, cfg, *seed, *stride, *points, *models, *depth, *every, *workers, *benchTo)
 	case *crashAt >= 0:
 		code = replay(mks, cfg, *modeName, *models, *crashAt, *faultSeed, *faultLim, *depth, *every)
 	case *sweep:
@@ -329,13 +323,13 @@ func replay(mks []func() workloads.Crasher, cfg workloads.Config, modeName, mode
 		}
 		model = pmem.Subset{Base: model, Limit: faultLim}
 	}
-	rep, err := workloads.RunWithPlan(mks[0](), mode, cfg, workloads.CrashPlan{
+	rep, err := workloads.RunWorkload(mks[0](), workloads.WithMode(mode), workloads.WithConfig(cfg), workloads.WithCrashPlan(workloads.CrashPlan{
 		AbortAfterOps: crashAt,
 		Fault:         model,
 		FaultSeed:     faultSeed,
 		RecrashDepth:  depth,
 		RecrashEvery:  every,
-	})
+	}))
 	name := mks[0]().Name()
 	if err != nil {
 		fmt.Printf("FAIL %s/%s@%d seed=%d: %v\n", name, mode, crashAt, faultSeed, err)
@@ -343,138 +337,5 @@ func replay(mks []func() workloads.Crasher, cfg workloads.Config, modeName, mode
 	}
 	fmt.Printf("ok   %s/%s@%d seed=%d: restored in %v (%.2f%% of op time)\n",
 		name, mode, crashAt, faultSeed, rep.Restore, rep.RestoreFraction()*100)
-	return 0
-}
-
-// benchReport is the BENCH_parallel.json schema: one campaign sweep run
-// serially and again with the worker pool, plus the verdict-identity check
-// that makes the speedup claim honest.
-type benchReport struct {
-	Workers        int     `json:"workers"`
-	GOMAXPROCS     int     `json:"gomaxprocs"`
-	NumCPU         int     `json:"numcpu"`
-	Runs           int     `json:"runs"`
-	SerialWallMS   float64 `json:"serial_wall_ms"`
-	ParallelWallMS float64 `json:"parallel_wall_ms"`
-	// Speedup is serial/parallel wall-clock. It is only a meaningful
-	// parallelism measurement when both GOMAXPROCS and the physical core
-	// count exceed 1; with a single scheduler thread (or a single core
-	// under an inflated GOMAXPROCS) the two sweeps interleave on one core
-	// and the ratio is noise.
-	Speedup         float64 `json:"speedup"`
-	SpeedupMeasured bool    `json:"speedup_measured"` // false when GOMAXPROCS==1 or NumCPU==1
-	Identical       bool    `json:"identical_results"`
-}
-
-// checkBaselineDowngrade guards the committed bench artifact: a baseline
-// whose speedup was actually measured (multi-core run) must not be silently
-// replaced by an unmeasured single-core run — that is exactly how the stale
-// "0.78x" headline survived several PRs. Corrupt or missing baselines don't
-// block: only a verified measured -> unmeasured downgrade does.
-func checkBaselineDowngrade(outPath string, rep *benchReport) error {
-	if rep.SpeedupMeasured {
-		return nil
-	}
-	prev, err := os.ReadFile(outPath)
-	if err != nil {
-		return nil // no baseline to protect
-	}
-	var old benchReport
-	if json.Unmarshal(prev, &old) != nil || !old.SpeedupMeasured {
-		return nil
-	}
-	return fmt.Errorf("refusing to overwrite %s: existing baseline has speedup_measured=true (%.2fx on %d CPUs) but this run cannot measure speedup (GOMAXPROCS=%d, NumCPU=%d); rerun on a multi-core box or pick another -bench path",
-		outPath, old.Speedup, old.NumCPU, rep.GOMAXPROCS, rep.NumCPU)
-}
-
-// bench times the campaign sweep twice — workers=1, then the requested pool
-// size — checks both produce byte-identical reports, and writes the
-// comparison as JSON. Speedup is wall-clock only; simulated results never
-// depend on workers (that is the point of the comparison).
-func bench(mks []func() workloads.Crasher, cfg workloads.Config, seed uint64, stride int64, points int, modelSpec string, depth int, every int64, workers int, outPath string) int {
-	models, err := parseModels(modelSpec)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "gpmrecover: %v\n", err)
-		return 2
-	}
-	par := workers
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-	sweep := func(w int) ([]byte, float64, error) {
-		c := &crash.Campaign{
-			Seed:         seed,
-			Stride:       stride,
-			MaxPoints:    points,
-			Models:       models,
-			RecrashDepth: depth,
-			RecrashEvery: every,
-			Workers:      w,
-		}
-		runCfg := cfg
-		runCfg.Workers = w
-		start := time.Now()
-		results, err := c.RunAll(mks, runCfg, false)
-		wall := time.Since(start)
-		if err != nil {
-			return nil, 0, err
-		}
-		blob, err := json.Marshal(results)
-		return blob, float64(wall.Nanoseconds()) / 1e6, err
-	}
-	serialBlob, serialMS, err := sweep(1)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "gpmrecover: serial sweep: %v\n", err)
-		return 2
-	}
-	parBlob, parMS, err := sweep(par)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "gpmrecover: parallel sweep: %v\n", err)
-		return 2
-	}
-	rep := benchReport{
-		Workers:        par,
-		GOMAXPROCS:     runtime.GOMAXPROCS(0),
-		NumCPU:         runtime.NumCPU(),
-		SerialWallMS:   serialMS,
-		ParallelWallMS: parMS,
-		Identical:      bytes.Equal(serialBlob, parBlob),
-	}
-	var results []*crash.WorkloadCampaign
-	if err := json.Unmarshal(serialBlob, &results); err == nil {
-		for _, wc := range results {
-			rep.Runs += len(wc.Runs)
-		}
-	}
-	if parMS > 0 {
-		rep.Speedup = serialMS / parMS
-	}
-	rep.SpeedupMeasured = rep.GOMAXPROCS > 1 && rep.NumCPU > 1 && par > 1
-	blob, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "gpmrecover: %v\n", err)
-		return 2
-	}
-	if err := checkBaselineDowngrade(outPath, &rep); err != nil {
-		fmt.Fprintf(os.Stderr, "gpmrecover: %v\n", err)
-		return 1
-	}
-	if err := os.WriteFile(outPath, append(blob, '\n'), 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "gpmrecover: %v\n", err)
-		return 2
-	}
-	if rep.SpeedupMeasured {
-		fmt.Printf("campaign: %d runs, serial %.0f ms, %d workers %.0f ms, %.2fx, identical=%v -> %s\n",
-			rep.Runs, serialMS, par, parMS, rep.Speedup, rep.Identical, outPath)
-	} else {
-		// One scheduler thread: the pool interleaves, so a speedup headline
-		// would be noise. Report the correctness half of the comparison only.
-		fmt.Printf("campaign: %d runs, serial %.0f ms, %d workers %.0f ms (GOMAXPROCS=%d, speedup not measured), identical=%v -> %s\n",
-			rep.Runs, serialMS, par, parMS, rep.GOMAXPROCS, rep.Identical, outPath)
-	}
-	if !rep.Identical {
-		fmt.Fprintln(os.Stderr, "gpmrecover: parallel sweep diverged from serial reference")
-		return 1
-	}
 	return 0
 }

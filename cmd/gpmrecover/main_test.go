@@ -1,8 +1,6 @@
 package main
 
 import (
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -25,7 +23,6 @@ func TestValidateCLI(t *testing.T) {
 	}{
 		{"defaults", func(o *cliOptions) {}, ""},
 		{"sweep with models", func(o *cliOptions) { o.sweep = true; o.models = "torn-lines,reorder" }, ""},
-		{"bench with model", func(o *cliOptions) { o.bench = true; o.models = "clean" }, ""},
 		{"replay", func(o *cliOptions) { o.crashAt = 100; o.mode = "GPM"; o.models = "torn-words" }, ""},
 		{"workers zero", func(o *cliOptions) { o.workers = 0 }, "-workers"},
 		{"workers negative", func(o *cliOptions) { o.workers = -1 }, "-workers"},
@@ -79,43 +76,5 @@ func TestValidateCLIListsModels(t *testing.T) {
 		if !strings.Contains(err.Error(), name) {
 			t.Errorf("error %q should list model %q", err, name)
 		}
-	}
-}
-
-// A measured multi-core baseline must never be silently replaced by an
-// unmeasured single-core run — that is how the stale 0.78x headline
-// survived several PRs. Unmeasured-over-unmeasured, measured-over-anything,
-// and corrupt/missing baselines all write through.
-func TestCheckBaselineDowngrade(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "bench.json")
-	unmeasured := &benchReport{GOMAXPROCS: 1, NumCPU: 1}
-	measured := &benchReport{GOMAXPROCS: 4, NumCPU: 4, SpeedupMeasured: true, Speedup: 2.5}
-
-	if err := checkBaselineDowngrade(path, unmeasured); err != nil {
-		t.Fatalf("missing baseline must not block: %v", err)
-	}
-
-	os.WriteFile(path, []byte(`{"speedup_measured": false, "speedup": 0.78}`), 0o644)
-	if err := checkBaselineDowngrade(path, unmeasured); err != nil {
-		t.Fatalf("unmeasured baseline must not block an unmeasured run: %v", err)
-	}
-
-	os.WriteFile(path, []byte(`{"speedup_measured": true, "speedup": 2.31, "numcpu": 4}`), 0o644)
-	err := checkBaselineDowngrade(path, unmeasured)
-	if err == nil {
-		t.Fatal("measured baseline + unmeasured run must refuse to overwrite")
-	}
-	if !strings.Contains(err.Error(), "speedup_measured=true") {
-		t.Errorf("refusal should explain the baseline state, got: %v", err)
-	}
-
-	if err := checkBaselineDowngrade(path, measured); err != nil {
-		t.Fatalf("a measured run may always overwrite: %v", err)
-	}
-
-	os.WriteFile(path, []byte(`not json`), 0o644)
-	if err := checkBaselineDowngrade(path, unmeasured); err != nil {
-		t.Fatalf("corrupt baseline must not block: %v", err)
 	}
 }

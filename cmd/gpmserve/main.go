@@ -7,14 +7,13 @@
 // -shards independent simulated nodes.
 //
 //	gpmserve -addr :7070 -mode GPM -shards 4      # serve until SIGTERM
-//	gpmserve -selftest                            # in-process smoke: load,
-//	                                              # kill-and-recover, verify,
-//	                                              # write BENCH_serve.json
+//	gpmserve -selftest                            # in-process correctness
+//	                                              # smoke: load, kill-and-
+//	                                              # recover, verify
 //	gpmserve -selftest -modes GPM,CAP-fs -shard-counts 1,2,4 -ops 20000
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -32,18 +31,14 @@ import (
 // cliOptions mirrors the flag set for upfront validation: every rejection
 // happens before a listener or shard exists, with exit 2 + usage.
 type cliOptions struct {
-	addr, mode, modes, shardCounts, out string
-	dist, baseline                      string
-	adminAddr, audit                    string
-	shards, sets, batch, queue          int
-	hotKeys                             int
-	workers, capThreads, conns, window  int
-	ops, txns                           int64
-	txnSize                             int
-	batchWait, drain                    time.Duration
-	getFrac, delFrac, theta             float64
-	selftest, noRecover, fixedWait      bool
-	retryPass, txnPass                  bool
+	addr, mode, modes, shardCounts string
+	adminAddr, audit               string
+	shards, sets, batch, queue     int
+	hotKeys, workers, capThreads   int
+	ops                            int64
+	batchWait, drain               time.Duration
+	selftest, noRecover            bool
+	retryPass, txnPass             bool
 }
 
 // validateCLI checks value ranges and cross-flag consistency. Mode names
@@ -83,35 +78,8 @@ func validateCLI(o cliOptions) error {
 	if o.ops < 1 {
 		return fmt.Errorf("-ops must be >= 1, got %d", o.ops)
 	}
-	if o.conns < 1 {
-		return fmt.Errorf("-conns must be >= 1, got %d", o.conns)
-	}
-	if o.window < 1 {
-		return fmt.Errorf("-window must be >= 1, got %d", o.window)
-	}
-	if o.getFrac < 0 || o.delFrac < 0 || o.getFrac+o.delFrac > 1 {
-		return fmt.Errorf("-get/-del fractions must be >= 0 and sum to <= 1, got %g + %g", o.getFrac, o.delFrac)
-	}
 	if o.hotKeys < 1 {
 		return fmt.Errorf("-hotkeys must be >= 1, got %d", o.hotKeys)
-	}
-	switch o.dist {
-	case serve.DistUniform:
-		if o.theta != 0 {
-			return fmt.Errorf("-theta only applies with -dist zipf")
-		}
-	case serve.DistZipf:
-		if o.theta < 0 || o.theta >= 1 {
-			return fmt.Errorf("-theta must be in (0, 1) (0 = 0.99 default), got %g", o.theta)
-		}
-	default:
-		return fmt.Errorf("-dist must be %q or %q, got %q", serve.DistUniform, serve.DistZipf, o.dist)
-	}
-	if o.txns < 0 {
-		return fmt.Errorf("-txns must be >= 0 (0 = ops/8), got %d", o.txns)
-	}
-	if o.txnSize < 1 {
-		return fmt.Errorf("-txn-size must be >= 1, got %d", o.txnSize)
 	}
 	if o.selftest && o.adminAddr != "" {
 		return fmt.Errorf("-admin-addr only applies when serving (selftest probes an ephemeral admin endpoint itself)")
@@ -122,9 +90,6 @@ func validateCLI(o cliOptions) error {
 		}
 		if o.shardCounts != "" {
 			return fmt.Errorf("-shard-counts only applies with -selftest (use -shards)")
-		}
-		if o.baseline != "" {
-			return fmt.Errorf("-baseline only applies with -selftest")
 		}
 	}
 	if _, err := parseModes(o.modes); err != nil {
@@ -177,8 +142,7 @@ func main() {
 		shards     = flag.Int("shards", 2, "keyspace partitions, each an independent simulated GPU+PM node")
 		sets       = flag.Int("sets", 1<<10, "hash sets per shard (8 ways each)")
 		batch      = flag.Int("batch", 256, "max client ops per kernel batch")
-		batchWait  = flag.Duration("batch-wait", 500*time.Microsecond, "max wall-clock wait before a partial batch dispatches (adaptive: upper bound on the starvation grace)")
-		fixedWait  = flag.Bool("fixed-wait", false, "disable adaptive batch sizing; always hold partial batches for -batch-wait")
+		batchWait  = flag.Duration("batch-wait", 500*time.Microsecond, "upper bound on how long a starved pipeline holds a partial batch open")
 		hotKeys    = flag.Int("hotkeys", 128, "per-shard hot-key sketch capacity for the eADR read cache")
 		queue      = flag.Int("queue", 1024, "per-shard admission queue depth (requests)")
 		workers    = flag.Int("workers", 0, "GPU block goroutines per shard (0 = GOMAXPROCS; simulated results are identical for every value)")
@@ -193,31 +157,19 @@ func main() {
 		modesSpec  = flag.String("modes", "", "selftest: comma-separated modes (default GPM)")
 		countsSpec = flag.String("shard-counts", "", "selftest: comma-separated shard counts (default 2)")
 		ops        = flag.Int64("ops", 10000, "selftest: total client operations per (mode, shards) run")
-		conns      = flag.Int("conns", 8, "selftest: concurrent client connections")
-		window     = flag.Int("window", 16, "selftest: pipelined requests per connection")
-		getFrac    = flag.Float64("get", 0.5, "selftest: GET fraction of the op mix")
-		delFrac    = flag.Float64("del", 0.05, "selftest: DEL fraction of the op mix")
-		distFlag   = flag.String("dist", serve.DistUniform, "selftest: key distribution (uniform or zipf)")
-		theta      = flag.Float64("theta", 0, "selftest: zipf skew in (0, 1); 0 = 0.99; requires -dist zipf")
 		noRecover  = flag.Bool("no-recover", false, "selftest: skip the kill-and-recover pass")
-		out        = flag.String("out", "BENCH_serve.json", "selftest: write the benchmark report here")
-		baseline   = flag.String("baseline", "", "selftest: perf gate — fail unless ops/s >= 0.9x and p99 <= 1.1x this committed report")
-		retryPass  = flag.Bool("retry-pass", true, "selftest: also measure each config with the exactly-once retry client; its throughput must stay >= 0.9x of the retry-off pass")
-		txnPass    = flag.Bool("txn-pass", true, "selftest: also measure each config under zipf hot-key RMW transactions (protocol v2, SI ledger verified) and gate conflict epoch fill >= 2x the chained-epoch baseline")
-		txns       = flag.Int64("txns", 0, "selftest: transactions per txn pass (0 = ops/8)")
-		txnSize    = flag.Int("txn-size", 2, "selftest: keys per transaction in the txn pass")
+		retryPass  = flag.Bool("retry-pass", true, "selftest: repeat each config with the exactly-once retry client")
+		txnPass    = flag.Bool("txn-pass", true, "selftest: also run each config under zipf hot-key RMW transactions (protocol v2) and verify the SI ledger")
 	)
 	flag.Parse()
 
 	o := cliOptions{
-		addr: *addr, mode: *modeName, modes: *modesSpec, shardCounts: *countsSpec, out: *out,
-		dist: *distFlag, baseline: *baseline,
+		addr: *addr, mode: *modeName, modes: *modesSpec, shardCounts: *countsSpec,
 		adminAddr: *adminAddr, audit: *auditPath,
 		shards: *shards, sets: *sets, batch: *batch, queue: *queue, hotKeys: *hotKeys,
-		workers: *workers, capThreads: *capThreads, conns: *conns, window: *window,
-		ops: *ops, txns: *txns, txnSize: *txnSize, batchWait: *batchWait, drain: *drain,
-		getFrac: *getFrac, delFrac: *delFrac, theta: *theta,
-		selftest: *selftest, noRecover: *noRecover, fixedWait: *fixedWait,
+		workers: *workers, capThreads: *capThreads,
+		ops: *ops, batchWait: *batchWait, drain: *drain,
+		selftest: *selftest, noRecover: *noRecover,
 		retryPass: *retryPass, txnPass: *txnPass,
 	}
 	if err := validateCLI(o); err != nil {
@@ -253,7 +205,6 @@ func runServer(o cliOptions, mode workloads.Mode, seed uint64, metricsTo string)
 		Sets:       o.sets,
 		MaxBatch:   o.batch,
 		BatchWait:  o.batchWait,
-		FixedWait:  o.fixedWait,
 		QueueDepth: o.queue,
 		HotKeys:    o.hotKeys,
 		Workers:    o.workers,
@@ -328,8 +279,8 @@ func flushMetrics(tel *telemetry.Telemetry, path, note string) error {
 	return nil
 }
 
-// runSelfTest drives the whole serving path in-process and writes
-// BENCH_serve.json. Any verification or recovery failure is fatal.
+// runSelfTest drives the whole serving path in-process and prints one
+// summary line per pass. Any verification or recovery failure is fatal.
 func runSelfTest(o cliOptions, mode workloads.Mode, seed uint64) int {
 	modes, _ := parseModes(o.modes)
 	if len(modes) == 0 {
@@ -343,153 +294,37 @@ func runSelfTest(o cliOptions, mode workloads.Mode, seed uint64) int {
 		Modes:          modes,
 		ShardCounts:    counts,
 		Ops:            o.ops,
-		Conns:          o.conns,
-		Window:         o.window,
 		Sets:           o.sets,
 		MaxBatch:       o.batch,
 		BatchWait:      o.batchWait,
-		FixedWait:      o.fixedWait,
 		QueueDepth:     o.queue,
 		HotKeys:        o.hotKeys,
 		Workers:        o.workers,
 		Seed:           seed,
-		GetFraction:    o.getFrac,
-		DelFraction:    o.delFrac,
-		Dist:           o.dist,
-		Theta:          o.theta,
 		KillAndRecover: !o.noRecover,
 		Admin:          true,
 		AuditPath:      o.audit,
 		RetryPass:      o.retryPass,
 		TxnPass:        o.txnPass,
-		Txns:           o.txns,
-		TxnSize:        o.txnSize,
 	})
 	for _, e := range rep.Entries {
 		if e.Txn {
-			fmt.Printf("%-8s x%d [txn]: %d txns (%d committed, %d dropped, %d conflict retries), %.0f txns/s, p50 %.0fµs p99 %.0fµs, %d batches (fill %.1f), SI ledger %d keys, conflict fill %.1f vs chained %.1f (%.1fx)\n",
+			fmt.Printf("%-8s x%d [txn]: %d txns (%d committed, %d dropped, %d conflict retries), %d batches (fill %.1f), SI ledger %d keys, verified=%v\n",
 				e.Mode, e.Shards, e.Ops, e.TxnCommitted, e.TxnDropped, e.TxnConflictRetries,
-				e.Throughput, e.P50US, e.P99US, e.Batches, e.MeanFill, e.SILedgerKeys,
-				e.ConflictFill, e.ChainedFill, e.FillGain)
+				e.Batches, e.MeanFill, e.SILedgerKeys, e.Verified)
 			continue
 		}
 		tag := ""
 		if e.Retry {
 			tag = " [retry]"
 		}
-		fmt.Printf("%-8s x%d%s: %d ops, %.0f ops/s, p50 %.0fµs p99 %.0fµs, %d batches (fill %.1f), %d cache hits, recovered=%v verified=%v, %d traces, %d audit events (consistent=%v)\n",
-			e.Mode, e.Shards, tag, e.Ops, e.Throughput, e.P50US, e.P99US, e.Batches, e.MeanFill, e.CacheHits, e.Recovered, e.Verified,
+		fmt.Printf("%-8s x%d%s: %d ops, %d batches (fill %.1f), %d cache hits, recovered=%v verified=%v, %d traces, %d audit events (consistent=%v)\n",
+			e.Mode, e.Shards, tag, e.Ops, e.Batches, e.MeanFill, e.CacheHits, e.Recovered, e.Verified,
 			e.TracesCaptured, e.AuditEvents, e.AuditConsistent)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "gpmserve:", err)
 		return 1
 	}
-	if err := gateRetryOverhead(rep); err != nil {
-		fmt.Fprintln(os.Stderr, "gpmserve: retry gate:", err)
-		return 1
-	}
-	if o.baseline != "" {
-		if err := gateAgainstBaseline(rep, o.baseline); err != nil {
-			fmt.Fprintln(os.Stderr, "gpmserve: perf gate:", err)
-			return 1
-		}
-		fmt.Printf("perf gate: within 0.9x ops / 1.1x p99 of %s\n", o.baseline)
-	}
-	blob, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "gpmserve:", err)
-		return 2
-	}
-	if err := os.WriteFile(o.out, append(blob, '\n'), 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "gpmserve:", err)
-		return 2
-	}
-	fmt.Printf("report -> %s\n", o.out)
 	return 0
-}
-
-// Perf-gate tolerances: a run may lose at most 10% throughput and gain at
-// most 10% p99 latency against the committed baseline before failing.
-const (
-	gateMinOpsFrac = 0.9
-	gateMaxP99Frac = 1.1
-)
-
-// gateAgainstBaseline compares every (mode, shards) entry of rep against
-// the committed baseline report at path. Entries missing from the baseline
-// are skipped (new configurations set their own floor when committed); a
-// gate run that matches nothing is an error, not a pass.
-func gateAgainstBaseline(rep *serve.BenchReport, path string) error {
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var base serve.BenchReport
-	if err := json.Unmarshal(blob, &base); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	baseBy := make(map[string]serve.BenchEntry, len(base.Entries))
-	for _, e := range base.Entries {
-		baseBy[fmt.Sprintf("%s/%d/retry=%v/txn=%v", e.Mode, e.Shards, e.Retry, e.Txn)] = e
-	}
-	matched := 0
-	for _, e := range rep.Entries {
-		b, ok := baseBy[fmt.Sprintf("%s/%d/retry=%v/txn=%v", e.Mode, e.Shards, e.Retry, e.Txn)]
-		if !ok {
-			continue
-		}
-		matched++
-		if e.Throughput < b.Throughput*gateMinOpsFrac {
-			return fmt.Errorf("%s x%d: %.0f ops/s < %.0f (%.0f%% of baseline %.0f)",
-				e.Mode, e.Shards, e.Throughput, b.Throughput*gateMinOpsFrac,
-				100*e.Throughput/b.Throughput, b.Throughput)
-		}
-		// Txn-pass p99 embeds a run-dependent number of conflict re-runs
-		// (the tail is "how many times the hottest key lost validation"),
-		// so only throughput is latency-gated for txn entries.
-		if !e.Txn && b.P99US > 0 && e.P99US > b.P99US*gateMaxP99Frac {
-			return fmt.Errorf("%s x%d: p99 %.0fµs > %.0fµs (%.0f%% of baseline %.0fµs)",
-				e.Mode, e.Shards, e.P99US, b.P99US*gateMaxP99Frac,
-				100*e.P99US/b.P99US, b.P99US)
-		}
-	}
-	if matched == 0 {
-		return fmt.Errorf("no (mode, shards) entries in common with %s", path)
-	}
-	return nil
-}
-
-// gateRetryOverhead compares retry-on against retry-off entries within one
-// report. The real regression gate for both passes is the committed
-// baseline (gateAgainstBaseline keys entries by retry flag); two sequential
-// passes of one run are too noise-coupled for a tight relative bound, so
-// this only prints the observed overhead and trips on a catastrophic
-// (>2x) collapse that no scheduler noise explains. No retry entries
-// (e.g. -retry-pass=false) means nothing to compare.
-func gateRetryOverhead(rep *serve.BenchReport) error {
-	off := make(map[string]serve.BenchEntry, len(rep.Entries))
-	for _, e := range rep.Entries {
-		if !e.Retry {
-			off[fmt.Sprintf("%s/%d", e.Mode, e.Shards)] = e
-		}
-	}
-	for _, e := range rep.Entries {
-		if !e.Retry || e.Txn {
-			// Txn entries carry Retry (transactions ride the exactly-once
-			// client) but measure txns/s, not ops/s — not comparable here.
-			continue
-		}
-		b, ok := off[fmt.Sprintf("%s/%d", e.Mode, e.Shards)]
-		if !ok {
-			continue
-		}
-		fmt.Printf("retry overhead: %s x%d exactly-once client ran at %.0f%% of the retry-off pass\n",
-			e.Mode, e.Shards, 100*e.Throughput/b.Throughput)
-		if e.Throughput < b.Throughput*0.5 {
-			return fmt.Errorf("%s x%d: retry client %.0f ops/s is under half the %.0f retry-off pass",
-				e.Mode, e.Shards, e.Throughput, b.Throughput)
-		}
-	}
-	return nil
 }

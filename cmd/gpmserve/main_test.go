@@ -11,11 +11,10 @@ import (
 // okOptions is a baseline that must validate; each case mutates one field.
 func okOptions() cliOptions {
 	return cliOptions{
-		addr: "127.0.0.1:7070", mode: "GPM", dist: "uniform",
+		addr: "127.0.0.1:7070", mode: "GPM",
 		shards: 2, sets: 64, batch: 16, queue: 64, hotKeys: 128,
-		workers: 0, capThreads: 16, conns: 4, window: 8,
+		workers: 0, capThreads: 16,
 		ops: 100, batchWait: time.Millisecond, drain: time.Second,
-		getFrac: 0.5, delFrac: 0.05, txnSize: 2,
 	}
 }
 
@@ -38,23 +37,9 @@ func TestValidateCLI(t *testing.T) {
 		{"zero capthreads", func(o *cliOptions) { o.capThreads = 0 }, "-capthreads"},
 		{"zero drain", func(o *cliOptions) { o.drain = 0 }, "-drain-timeout"},
 		{"zero ops", func(o *cliOptions) { o.ops = 0 }, "-ops"},
-		{"zero conns", func(o *cliOptions) { o.conns = 0 }, "-conns"},
-		{"zero window", func(o *cliOptions) { o.window = 0 }, "-window"},
-		{"fractions over 1", func(o *cliOptions) { o.getFrac, o.delFrac = 0.8, 0.3 }, "fractions"},
-		{"negative get", func(o *cliOptions) { o.getFrac = -0.1 }, "fractions"},
 		{"zero hotkeys", func(o *cliOptions) { o.hotKeys = 0 }, "-hotkeys"},
-		{"unknown dist", func(o *cliOptions) { o.dist = "pareto" }, "-dist"},
-		{"theta without zipf", func(o *cliOptions) { o.theta = 0.9 }, "-theta"},
-		{"zipf theta ok", func(o *cliOptions) { o.dist, o.theta = "zipf", 0.9 }, ""},
-		{"zipf theta out of range", func(o *cliOptions) { o.dist, o.theta = "zipf", 1.2 }, "-theta"},
-		{"zero txn-size", func(o *cliOptions) { o.txnSize = 0 }, "-txn-size"},
-		{"negative txns", func(o *cliOptions) { o.txns = -1 }, "-txns"},
-		{"txns default ok", func(o *cliOptions) { o.txns = 0 }, ""},
 		{"modes without selftest", func(o *cliOptions) { o.modes = "GPM" }, "-modes only applies"},
 		{"shard-counts without selftest", func(o *cliOptions) { o.shardCounts = "1,2" }, "-shard-counts only applies"},
-		{"baseline without selftest", func(o *cliOptions) { o.baseline = "BENCH_serve.json" }, "-baseline only applies"},
-		{"selftest with baseline", func(o *cliOptions) { o.selftest = true; o.baseline = "BENCH_serve.json" }, ""},
-		{"fixed-wait ok", func(o *cliOptions) { o.fixedWait = true }, ""},
 		{"selftest with modes", func(o *cliOptions) { o.selftest = true; o.modes = "GPM,CAP-fs" }, ""},
 		{"selftest bad mode list", func(o *cliOptions) { o.selftest = true; o.modes = "GPM,nope" }, "-modes"},
 		{"selftest bad counts", func(o *cliOptions) { o.selftest = true; o.shardCounts = "2,0" }, "-shard-counts"},

@@ -204,12 +204,12 @@ func TestShrinkNegativeControl(t *testing.T) {
 	if s.FaultLimit > 0 {
 		fault = pmem.Subset{Base: model, Limit: s.FaultLimit}
 	}
-	_, runErr := workloads.RunWithPlan(newBroken(), mode, cfg, workloads.CrashPlan{
+	_, runErr := workloads.RunWorkload(newBroken(), workloads.WithMode(mode), workloads.WithConfig(cfg), workloads.WithCrashPlan(workloads.CrashPlan{
 		AbortAfterOps: s.CrashAt,
 		Fault:         fault,
 		FaultSeed:     s.FaultSeed,
 		RecrashDepth:  s.RecrashDepth,
-	})
+	}))
 	if runErr == nil {
 		t.Error("shrunk triple no longer reproduces the failure")
 	}

@@ -89,7 +89,7 @@ func (in *Injector) Stress(mk func() workloads.Crasher, mode workloads.Mode, cfg
 	// Crash in the second half: late enough that transactional workloads
 	// are mid-batch and checkpointing ones have a checkpoint to restore.
 	crashAt := total/2 + in.rng.Int63n(total/2-1) + 1
-	rep, err := workloads.RunWithCrash(mk(), mode, cfg, crashAt)
+	rep, err := workloads.RunWorkload(mk(), workloads.WithMode(mode), workloads.WithConfig(cfg), workloads.WithCrashAt(crashAt))
 	if err != nil {
 		return nil, err
 	}

@@ -46,13 +46,13 @@ func (c *Campaign) Shrink(mk func() workloads.Crasher, cfg workloads.Config, rec
 		if limit > 0 {
 			model = pmem.Subset{Base: base, Limit: limit}
 		}
-		_, runErr := workloads.RunWithPlan(mk(), mode, cfg, workloads.CrashPlan{
+		_, runErr := workloads.RunWorkload(mk(), workloads.WithMode(mode), workloads.WithConfig(cfg), workloads.WithCrashPlan(workloads.CrashPlan{
 			AbortAfterOps: crashAt,
 			Fault:         model,
 			FaultSeed:     rec.FaultSeed,
 			RecrashDepth:  rec.RecrashDepth,
 			RecrashEvery:  c.RecrashEvery,
-		})
+		}))
 		return runErr != nil
 	}
 

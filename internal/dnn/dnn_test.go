@@ -12,7 +12,7 @@ func TestDNNModes(t *testing.T) {
 		workloads.GPMNDP, workloads.GPMeADR, workloads.CAPeADR,
 	} {
 		t.Run(m.String(), func(t *testing.T) {
-			r, err := workloads.RunOne(New(), m, workloads.QuickConfig())
+			r, err := workloads.RunWorkload(New(), workloads.WithMode(m), workloads.WithConfig(workloads.QuickConfig()))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -25,11 +25,11 @@ func TestDNNModes(t *testing.T) {
 
 func TestDNNLearnsAndCheckpointFaster(t *testing.T) {
 	cfg := workloads.QuickConfig()
-	g, err := workloads.RunOne(New(), workloads.GPM, cfg)
+	g, err := workloads.RunWorkload(New(), workloads.WithMode(workloads.GPM), workloads.WithConfig(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
-	mm, err := workloads.RunOne(New(), workloads.CAPmm, cfg)
+	mm, err := workloads.RunWorkload(New(), workloads.WithMode(workloads.CAPmm), workloads.WithConfig(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestDNNLearnsAndCheckpointFaster(t *testing.T) {
 
 func TestDNNCrashRecovery(t *testing.T) {
 	// Crash well into training, after at least one checkpoint.
-	r, err := workloads.RunWithCrash(New(), workloads.GPM, workloads.QuickConfig(), 1200000)
+	r, err := workloads.RunWorkload(New(), workloads.WithMode(workloads.GPM), workloads.WithConfig(workloads.QuickConfig()), workloads.WithCrashAt(1200000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestDNNCrashRecovery(t *testing.T) {
 }
 
 func TestDNNNoCPUMode(t *testing.T) {
-	if _, err := workloads.RunOne(New(), workloads.CPUOnly, workloads.QuickConfig()); err == nil {
+	if _, err := workloads.RunWorkload(New(), workloads.WithMode(workloads.CPUOnly), workloads.WithConfig(workloads.QuickConfig())); err == nil {
 		t.Error("DNN training has no CPU-only counterpart in the suite")
 	}
 }

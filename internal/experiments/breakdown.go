@@ -79,11 +79,11 @@ func CPUDatabase(cfg workloads.Config) (*Table, error) {
 		func() workloads.Workload { return gpdbNew(0) },
 		func() workloads.Workload { return gpdbNew(1) },
 	} {
-		g, err := workloads.RunOne(mk(), workloads.GPM, cfg)
+		g, err := workloads.RunWorkload(mk(), workloads.WithMode(workloads.GPM), workloads.WithConfig(cfg))
 		if err != nil {
 			return nil, err
 		}
-		c, err := workloads.RunOne(mk(), workloads.CPUOnly, cfg)
+		c, err := workloads.RunWorkload(mk(), workloads.WithMode(workloads.CPUOnly), workloads.WithConfig(cfg))
 		if err != nil {
 			return nil, err
 		}
@@ -119,11 +119,11 @@ func CheckpointFrequency(cfg workloads.Config) (*Table, error) {
 		for _, every := range []int{e.base, e.base * 2} {
 			c := cfg
 			e.set(&c, every)
-			g, err := workloads.RunOne(e.mk(), workloads.GPM, c)
+			g, err := workloads.RunWorkload(e.mk(), workloads.WithMode(workloads.GPM), workloads.WithConfig(c))
 			if err != nil {
 				return nil, err
 			}
-			m, err := workloads.RunOne(e.mk(), workloads.CAPmm, c)
+			m, err := workloads.RunWorkload(e.mk(), workloads.WithMode(workloads.CAPmm), workloads.WithConfig(c))
 			if err != nil {
 				return nil, err
 			}

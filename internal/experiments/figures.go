@@ -16,7 +16,7 @@ import (
 // PM key-value stores versus gpKVS on GPM (Mops/s).
 func Figure1a(cfg workloads.Config) (*Table, error) {
 	t := &Table{Name: "figure1a", Header: []string{"kvs", "throughput_mops", "speedup_of_gpm"}}
-	gpm, err := workloads.RunOne(kvstore.New(), workloads.GPM, cfg)
+	gpm, err := workloads.RunWorkload(kvstore.New(), workloads.WithMode(workloads.GPM), workloads.WithConfig(cfg))
 	if err != nil {
 		return nil, err
 	}
@@ -29,7 +29,7 @@ func Figure1a(cfg workloads.Config) (*Table, error) {
 		{"MatrixKV", kvstore.StyleMatrixKV},
 	}
 	for _, r := range rows {
-		rep, err := workloads.RunOne(kvstore.NewCPU(r.style), workloads.CPUOnly, cfg)
+		rep, err := workloads.RunWorkload(kvstore.NewCPU(r.style), workloads.WithMode(workloads.CPUOnly), workloads.WithConfig(cfg))
 		if err != nil {
 			return nil, err
 		}
@@ -49,11 +49,11 @@ func Figure1b(cfg workloads.Config) (*Table, error) {
 		func() workloads.Workload { return scan.New() },
 	}
 	for _, f := range mk {
-		g, err := workloads.RunOne(f(), workloads.GPM, cfg)
+		g, err := workloads.RunWorkload(f(), workloads.WithMode(workloads.GPM), workloads.WithConfig(cfg))
 		if err != nil {
 			return nil, err
 		}
-		c, err := workloads.RunOne(f(), workloads.CPUOnly, cfg)
+		c, err := workloads.RunWorkload(f(), workloads.WithMode(workloads.CPUOnly), workloads.WithConfig(cfg))
 		if err != nil {
 			return nil, err
 		}
@@ -71,7 +71,7 @@ var fig9Modes = []workloads.Mode{workloads.CAPmm, workloads.GPM, workloads.GPUfs
 func Figure9(cfg workloads.Config) (*Table, error) {
 	t := &Table{Name: "figure9", Header: []string{"workload", "class", "CAP-mm", "GPM", "GPUfs"}}
 	for _, mk := range Suite() {
-		base, err := workloads.RunOne(mk(), workloads.CAPfs, cfg)
+		base, err := workloads.RunWorkload(mk(), workloads.WithMode(workloads.CAPfs), workloads.WithConfig(cfg))
 		if err != nil {
 			return nil, err
 		}
@@ -82,7 +82,7 @@ func Figure9(cfg workloads.Config) (*Table, error) {
 				row = append(row, "*")
 				continue
 			}
-			rep, err := workloads.RunOne(w, m, cfg)
+			rep, err := workloads.RunWorkload(w, workloads.WithMode(m), workloads.WithConfig(cfg))
 			if err != nil {
 				if m == workloads.GPUfs {
 					row = append(row, "*") // fails to execute (§6.1)
@@ -101,11 +101,11 @@ func Figure9(cfg workloads.Config) (*Table, error) {
 func Table4(cfg workloads.Config) (*Table, error) {
 	t := &Table{Name: "table4", Header: []string{"workload", "class", "write_amplification"}}
 	for _, mk := range Suite() {
-		g, err := workloads.RunOne(mk(), workloads.GPM, cfg)
+		g, err := workloads.RunWorkload(mk(), workloads.WithMode(workloads.GPM), workloads.WithConfig(cfg))
 		if err != nil {
 			return nil, err
 		}
-		c, err := workloads.RunOne(mk(), workloads.CAPmm, cfg)
+		c, err := workloads.RunWorkload(mk(), workloads.WithMode(workloads.CAPmm), workloads.WithConfig(cfg))
 		if err != nil {
 			return nil, err
 		}
@@ -121,13 +121,13 @@ func Figure10(cfg workloads.Config) (*Table, error) {
 		Header: []string{"workload", "class", "GPM-NDP", "GPM", "GPM-eADR", "CAP-eADR"}}
 	modes := []workloads.Mode{workloads.GPMNDP, workloads.GPM, workloads.GPMeADR, workloads.CAPeADR}
 	for _, mk := range Suite() {
-		base, err := workloads.RunOne(mk(), workloads.CAPfs, cfg)
+		base, err := workloads.RunWorkload(mk(), workloads.WithMode(workloads.CAPfs), workloads.WithConfig(cfg))
 		if err != nil {
 			return nil, err
 		}
 		row := []interface{}{base.Workload, base.Class}
 		for _, m := range modes {
-			rep, err := workloads.RunOne(mk(), m, cfg)
+			rep, err := workloads.RunWorkload(mk(), workloads.WithMode(m), workloads.WithConfig(cfg))
 			if err != nil {
 				return nil, err
 			}
@@ -144,22 +144,22 @@ func Figure10(cfg workloads.Config) (*Table, error) {
 func Figure11a(cfg workloads.Config) (*Table, error) {
 	t := &Table{Name: "figure11a", Header: []string{"workload", "hcl_speedup"}}
 	{
-		conv, err := workloads.RunOne(&kvstore.GpKVS{ConvLog: true}, workloads.GPM, cfg)
+		conv, err := workloads.RunWorkload(&kvstore.GpKVS{ConvLog: true}, workloads.WithMode(workloads.GPM), workloads.WithConfig(cfg))
 		if err != nil {
 			return nil, err
 		}
-		hcl, err := workloads.RunOne(kvstore.New(), workloads.GPM, cfg)
+		hcl, err := workloads.RunWorkload(kvstore.New(), workloads.WithMode(workloads.GPM), workloads.WithConfig(cfg))
 		if err != nil {
 			return nil, err
 		}
 		t.Add("gpKVS", float64(conv.OpTime)/float64(hcl.OpTime))
 	}
 	{
-		conv, err := workloads.RunOne(&gpdb.GpDB{Op: gpdb.Update, ConvLog: true}, workloads.GPM, cfg)
+		conv, err := workloads.RunWorkload(&gpdb.GpDB{Op: gpdb.Update, ConvLog: true}, workloads.WithMode(workloads.GPM), workloads.WithConfig(cfg))
 		if err != nil {
 			return nil, err
 		}
-		hcl, err := workloads.RunOne(gpdb.New(gpdb.Update), workloads.GPM, cfg)
+		hcl, err := workloads.RunWorkload(gpdb.New(gpdb.Update), workloads.WithMode(workloads.GPM), workloads.WithConfig(cfg))
 		if err != nil {
 			return nil, err
 		}
@@ -174,7 +174,7 @@ func Figure12(cfg workloads.Config) (*Table, error) {
 	t := &Table{Name: "figure12",
 		Header: []string{"workload", "pm_write_gbps", "seq_frac", "aligned_frac", "max_pcie_gbps"}}
 	for _, mk := range Suite() {
-		rep, err := workloads.RunOne(mk(), workloads.GPM, cfg)
+		rep, err := workloads.RunWorkload(mk(), workloads.WithMode(workloads.GPM), workloads.WithConfig(cfg))
 		if err != nil {
 			return nil, err
 		}
@@ -204,7 +204,7 @@ func Table5(cfg workloads.Config) (*Table, error) {
 		if crashAt < 1 {
 			crashAt = 1
 		}
-		rep, err := workloads.RunWithCrash(mk(), workloads.GPM, cfg, crashAt)
+		rep, err := workloads.RunWorkload(mk(), workloads.WithMode(workloads.GPM), workloads.WithConfig(cfg), workloads.WithCrashAt(crashAt))
 		if err != nil {
 			return nil, err
 		}
@@ -238,7 +238,7 @@ func DNNFrequency(cfg workloads.Config) (*Table, error) {
 	// Baseline: no checkpointing (one checkpoint at the very end).
 	base := cfg
 	base.DNNCkptEach = cfg.DNNIters
-	b, err := workloads.RunOne(dnn.New(), workloads.GPM, base)
+	b, err := workloads.RunWorkload(dnn.New(), workloads.WithMode(workloads.GPM), workloads.WithConfig(base))
 	if err != nil {
 		return nil, err
 	}
@@ -246,7 +246,7 @@ func DNNFrequency(cfg workloads.Config) (*Table, error) {
 	for _, every := range []int{cfg.DNNCkptEach, cfg.DNNCkptEach * 2} {
 		c := cfg
 		c.DNNCkptEach = every
-		rep, err := workloads.RunOne(dnn.New(), workloads.GPM, c)
+		rep, err := workloads.RunWorkload(dnn.New(), workloads.WithMode(workloads.GPM), workloads.WithConfig(c))
 		if err != nil {
 			return nil, err
 		}
@@ -259,7 +259,7 @@ func DNNFrequency(cfg workloads.Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		cr, err := workloads.RunWithCrash(dnn.New(), workloads.GPM, c, total*95/100)
+		cr, err := workloads.RunWorkload(dnn.New(), workloads.WithMode(workloads.GPM), workloads.WithConfig(c), workloads.WithCrashAt(total*95/100))
 		if err != nil {
 			return nil, err
 		}

@@ -14,7 +14,7 @@ func TestBLKModes(t *testing.T) {
 		workloads.GPMNDP, workloads.GPMeADR, workloads.CAPeADR,
 	} {
 		t.Run(m.String(), func(t *testing.T) {
-			r, err := workloads.RunOne(NewBlackScholes(), m, workloads.QuickConfig())
+			r, err := workloads.RunWorkload(NewBlackScholes(), workloads.WithMode(m), workloads.WithConfig(workloads.QuickConfig()))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -30,7 +30,7 @@ func TestBLKModes(t *testing.T) {
 
 func TestBLKUnsupportedModes(t *testing.T) {
 	for _, m := range []workloads.Mode{workloads.GPUfs, workloads.CPUOnly} {
-		if _, err := workloads.RunOne(NewBlackScholes(), m, workloads.QuickConfig()); err == nil {
+		if _, err := workloads.RunWorkload(NewBlackScholes(), workloads.WithMode(m), workloads.WithConfig(workloads.QuickConfig())); err == nil {
 			t.Errorf("BLK should not run on %v", m)
 		}
 	}
@@ -38,11 +38,11 @@ func TestBLKUnsupportedModes(t *testing.T) {
 
 func TestBLKCheckpointGPMFaster(t *testing.T) {
 	cfg := workloads.QuickConfig()
-	g, err := workloads.RunOne(NewBlackScholes(), workloads.GPM, cfg)
+	g, err := workloads.RunWorkload(NewBlackScholes(), workloads.WithMode(workloads.GPM), workloads.WithConfig(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
-	mm, err := workloads.RunOne(NewBlackScholes(), workloads.CAPmm, cfg)
+	mm, err := workloads.RunWorkload(NewBlackScholes(), workloads.WithMode(workloads.CAPmm), workloads.WithConfig(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}

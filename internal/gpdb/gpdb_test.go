@@ -13,7 +13,7 @@ func TestGpDBModes(t *testing.T) {
 			workloads.GPMNDP, workloads.GPMeADR, workloads.CAPeADR, workloads.CPUOnly,
 		} {
 			t.Run(New(op).Name()+"/"+m.String(), func(t *testing.T) {
-				if _, err := workloads.RunOne(New(op), m, workloads.QuickConfig()); err != nil {
+				if _, err := workloads.RunWorkload(New(op), workloads.WithMode(m), workloads.WithConfig(workloads.QuickConfig())); err != nil {
 					t.Fatal(err)
 				}
 			})
@@ -25,11 +25,11 @@ func TestGpDBWriteAmplification(t *testing.T) {
 	// Table 4: gpDB(I) ~1.27× (contiguous appends, page-rounded),
 	// gpDB(U) ~19.9× (whole table ships under CAP).
 	cfg := workloads.QuickConfig()
-	gi, err := workloads.RunOne(New(Insert), workloads.GPM, cfg)
+	gi, err := workloads.RunWorkload(New(Insert), workloads.WithMode(workloads.GPM), workloads.WithConfig(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ci, err := workloads.RunOne(New(Insert), workloads.CAPmm, cfg)
+	ci, err := workloads.RunWorkload(New(Insert), workloads.WithMode(workloads.CAPmm), workloads.WithConfig(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,11 +37,11 @@ func TestGpDBWriteAmplification(t *testing.T) {
 	if waI < 0.9 || waI > 3 {
 		t.Errorf("gpDB(I) WA = %.2f, want near 1.27", waI)
 	}
-	gu, err := workloads.RunOne(New(Update), workloads.GPM, cfg)
+	gu, err := workloads.RunWorkload(New(Update), workloads.WithMode(workloads.GPM), workloads.WithConfig(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cu, err := workloads.RunOne(New(Update), workloads.CAPmm, cfg)
+	cu, err := workloads.RunWorkload(New(Update), workloads.WithMode(workloads.CAPmm), workloads.WithConfig(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,15 +57,15 @@ func TestGpDBWriteAmplification(t *testing.T) {
 func TestGpDBGPMFasterThanCPUAndCAP(t *testing.T) {
 	cfg := workloads.QuickConfig()
 	for _, op := range []Op{Insert, Update} {
-		g, err := workloads.RunOne(New(op), workloads.GPM, cfg)
+		g, err := workloads.RunWorkload(New(op), workloads.WithMode(workloads.GPM), workloads.WithConfig(cfg))
 		if err != nil {
 			t.Fatal(err)
 		}
-		cpu, err := workloads.RunOne(New(op), workloads.CPUOnly, cfg)
+		cpu, err := workloads.RunWorkload(New(op), workloads.WithMode(workloads.CPUOnly), workloads.WithConfig(cfg))
 		if err != nil {
 			t.Fatal(err)
 		}
-		fs, err := workloads.RunOne(New(op), workloads.CAPfs, cfg)
+		fs, err := workloads.RunWorkload(New(op), workloads.WithMode(workloads.CAPfs), workloads.WithConfig(cfg))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,14 +83,14 @@ func TestGpDBGPMFasterThanCPUAndCAP(t *testing.T) {
 
 func TestGpDBInsertSequentialPattern(t *testing.T) {
 	// §6.1: gpDB(I) accesses are sequential (new rows are contiguous).
-	r, err := workloads.RunOne(New(Insert), workloads.GPM, workloads.QuickConfig())
+	r, err := workloads.RunWorkload(New(Insert), workloads.WithMode(workloads.GPM), workloads.WithConfig(workloads.QuickConfig()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.SeqFrac < 0.5 {
 		t.Errorf("gpDB(I) seq fraction %.2f, want sequential", r.SeqFrac)
 	}
-	u, err := workloads.RunOne(New(Update), workloads.GPM, workloads.QuickConfig())
+	u, err := workloads.RunWorkload(New(Update), workloads.WithMode(workloads.GPM), workloads.WithConfig(workloads.QuickConfig()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestGpDBInsertSequentialPattern(t *testing.T) {
 func TestGpDBCrashRecovery(t *testing.T) {
 	for _, op := range []Op{Insert, Update} {
 		t.Run(New(op).Name(), func(t *testing.T) {
-			r, err := workloads.RunWithCrash(New(op), workloads.GPM, workloads.QuickConfig(), 5000)
+			r, err := workloads.RunWorkload(New(op), workloads.WithMode(workloads.GPM), workloads.WithConfig(workloads.QuickConfig()), workloads.WithCrashAt(5000))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -116,11 +116,11 @@ func TestGpDBCrashRecovery(t *testing.T) {
 func TestGpDBInsertRecoveryCheaperThanUpdate(t *testing.T) {
 	// Table 5: gpDB(I) restores in 0.01% of op time (metadata only);
 	// gpDB(U) needs 10.4% (undo kernel over the log).
-	ri, err := workloads.RunWithCrash(New(Insert), workloads.GPM, workloads.QuickConfig(), 5000)
+	ri, err := workloads.RunWorkload(New(Insert), workloads.WithMode(workloads.GPM), workloads.WithConfig(workloads.QuickConfig()), workloads.WithCrashAt(5000))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ru, err := workloads.RunWithCrash(New(Update), workloads.GPM, workloads.QuickConfig(), 5000)
+	ru, err := workloads.RunWorkload(New(Update), workloads.WithMode(workloads.GPM), workloads.WithConfig(workloads.QuickConfig()), workloads.WithCrashAt(5000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,11 +133,11 @@ func TestGpDBInsertRecoveryCheaperThanUpdate(t *testing.T) {
 func TestGpDBHCLFasterThanConv(t *testing.T) {
 	// Fig 11a: gpDB(U) speeds up 6.1× with HCL.
 	cfg := workloads.QuickConfig()
-	hcl, err := workloads.RunOne(New(Update), workloads.GPM, cfg)
+	hcl, err := workloads.RunWorkload(New(Update), workloads.WithMode(workloads.GPM), workloads.WithConfig(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
-	conv, err := workloads.RunOne(&GpDB{Op: Update, ConvLog: true}, workloads.GPM, cfg)
+	conv, err := workloads.RunWorkload(&GpDB{Op: Update, ConvLog: true}, workloads.WithMode(workloads.GPM), workloads.WithConfig(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}

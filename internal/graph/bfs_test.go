@@ -12,7 +12,7 @@ func TestBFSModes(t *testing.T) {
 		workloads.GPMNDP, workloads.GPMeADR, workloads.CAPeADR, workloads.CPUOnly,
 	} {
 		t.Run(m.String(), func(t *testing.T) {
-			if _, err := workloads.RunOne(New(), m, workloads.QuickConfig()); err != nil {
+			if _, err := workloads.RunWorkload(New(), workloads.WithMode(m), workloads.WithConfig(workloads.QuickConfig())); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -20,7 +20,7 @@ func TestBFSModes(t *testing.T) {
 }
 
 func TestBFSGPUfsUnsupported(t *testing.T) {
-	if _, err := workloads.RunOne(New(), workloads.GPUfs, workloads.QuickConfig()); err == nil {
+	if _, err := workloads.RunWorkload(New(), workloads.WithMode(workloads.GPUfs), workloads.WithConfig(workloads.QuickConfig())); err == nil {
 		t.Error("BFS should not run on GPUfs")
 	}
 }
@@ -30,11 +30,11 @@ func TestBFSGPMLargestNativeGain(t *testing.T) {
 	// cost every level, so GPM's advantage is largest here (85× vs
 	// CAP-fs in the paper).
 	cfg := workloads.QuickConfig()
-	g, err := workloads.RunOne(New(), workloads.GPM, cfg)
+	g, err := workloads.RunWorkload(New(), workloads.WithMode(workloads.GPM), workloads.WithConfig(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs, err := workloads.RunOne(New(), workloads.CAPfs, cfg)
+	fs, err := workloads.RunWorkload(New(), workloads.WithMode(workloads.CAPfs), workloads.WithConfig(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestBFSCrashResume(t *testing.T) {
 }
 
 func TestBFSCrashResumeViaHarness(t *testing.T) {
-	r, err := workloads.RunWithCrash(New(), workloads.GPM, workloads.QuickConfig(), 150000)
+	r, err := workloads.RunWorkload(New(), workloads.WithMode(workloads.GPM), workloads.WithConfig(workloads.QuickConfig()), workloads.WithCrashAt(150000))
 	if err != nil {
 		t.Fatal(err)
 	}

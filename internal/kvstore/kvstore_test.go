@@ -12,7 +12,7 @@ func TestGpKVSModes(t *testing.T) {
 		workloads.GPMNDP, workloads.GPMeADR, workloads.CAPeADR,
 	} {
 		t.Run(m.String(), func(t *testing.T) {
-			if _, err := workloads.RunOne(New(), m, workloads.QuickConfig()); err != nil {
+			if _, err := workloads.RunWorkload(New(), workloads.WithMode(m), workloads.WithConfig(workloads.QuickConfig())); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -21,7 +21,7 @@ func TestGpKVSModes(t *testing.T) {
 
 func TestGpKVSMixedWorkload(t *testing.T) {
 	for _, m := range []workloads.Mode{workloads.GPM, workloads.CAPmm} {
-		if _, err := workloads.RunOne(NewMixed(), m, workloads.QuickConfig()); err != nil {
+		if _, err := workloads.RunWorkload(NewMixed(), workloads.WithMode(m), workloads.WithConfig(workloads.QuickConfig())); err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
 	}
@@ -29,7 +29,7 @@ func TestGpKVSMixedWorkload(t *testing.T) {
 
 func TestGpKVSUnsupportedModes(t *testing.T) {
 	for _, m := range []workloads.Mode{workloads.GPUfs, workloads.CPUOnly} {
-		if _, err := workloads.RunOne(New(), m, workloads.QuickConfig()); err == nil {
+		if _, err := workloads.RunWorkload(New(), workloads.WithMode(m), workloads.WithConfig(workloads.QuickConfig())); err == nil {
 			t.Errorf("gpKVS should not run on %v", m)
 		}
 	}
@@ -39,11 +39,11 @@ func TestGpKVSWriteAmplification(t *testing.T) {
 	// Table 4: CAP persists the entire store per batch; GPM persists
 	// only the updated pairs plus logs (39× in the paper).
 	cfg := workloads.QuickConfig()
-	g, err := workloads.RunOne(New(), workloads.GPM, cfg)
+	g, err := workloads.RunWorkload(New(), workloads.WithMode(workloads.GPM), workloads.WithConfig(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
-	mm, err := workloads.RunOne(New(), workloads.CAPmm, cfg)
+	mm, err := workloads.RunWorkload(New(), workloads.WithMode(workloads.CAPmm), workloads.WithConfig(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,8 +55,8 @@ func TestGpKVSWriteAmplification(t *testing.T) {
 
 func TestGpKVSGPMFasterThanCAP(t *testing.T) {
 	cfg := workloads.QuickConfig()
-	g, _ := workloads.RunOne(New(), workloads.GPM, cfg)
-	fs, err := workloads.RunOne(New(), workloads.CAPfs, cfg)
+	g, _ := workloads.RunWorkload(New(), workloads.WithMode(workloads.GPM), workloads.WithConfig(cfg))
+	fs, err := workloads.RunWorkload(New(), workloads.WithMode(workloads.CAPfs), workloads.WithConfig(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestGpKVSGPMFasterThanCAP(t *testing.T) {
 func TestGpKVSRandomWritePattern(t *testing.T) {
 	// §6.1 / Fig 12: KVS updates are sparse and unaligned, so PM sees a
 	// random access pattern and low bandwidth.
-	r, err := workloads.RunOne(New(), workloads.GPM, workloads.QuickConfig())
+	r, err := workloads.RunWorkload(New(), workloads.WithMode(workloads.GPM), workloads.WithConfig(workloads.QuickConfig()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestGpKVSRandomWritePattern(t *testing.T) {
 func TestGpKVSCrashRecovery(t *testing.T) {
 	// Crash mid-batch just before commit; the recovery kernel must undo
 	// the partial batch (Fig 6b).
-	r, err := workloads.RunWithCrash(New(), workloads.GPM, workloads.QuickConfig(), 40000)
+	r, err := workloads.RunWorkload(New(), workloads.WithMode(workloads.GPM), workloads.WithConfig(workloads.QuickConfig()), workloads.WithCrashAt(40000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,11 +92,11 @@ func TestGpKVSCrashRecovery(t *testing.T) {
 func TestGpKVSHCLFasterThanConvLog(t *testing.T) {
 	// Fig 11a: gpKVS speeds up 3.3× with HCL over conventional logging.
 	cfg := workloads.QuickConfig()
-	hcl, err := workloads.RunOne(New(), workloads.GPM, cfg)
+	hcl, err := workloads.RunWorkload(New(), workloads.WithMode(workloads.GPM), workloads.WithConfig(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
-	conv, err := workloads.RunOne(&GpKVS{ConvLog: true}, workloads.GPM, cfg)
+	conv, err := workloads.RunWorkload(&GpKVS{ConvLog: true}, workloads.WithMode(workloads.GPM), workloads.WithConfig(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestGpKVSHCLFasterThanConvLog(t *testing.T) {
 func TestCPUKVSStyles(t *testing.T) {
 	for _, s := range []Style{StylePmemKV, StyleRocksDB, StyleMatrixKV} {
 		t.Run(s.String(), func(t *testing.T) {
-			r, err := workloads.RunOne(NewCPU(s), workloads.CPUOnly, workloads.QuickConfig())
+			r, err := workloads.RunWorkload(NewCPU(s), workloads.WithMode(workloads.CPUOnly), workloads.WithConfig(workloads.QuickConfig()))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -122,13 +122,13 @@ func TestCPUKVSStyles(t *testing.T) {
 func TestFig1aOrdering(t *testing.T) {
 	// Fig 1a: gpKVS on GPM beats every CPU PM KVS; RocksDB is slowest.
 	cfg := workloads.QuickConfig()
-	g, err := workloads.RunOne(New(), workloads.GPM, cfg)
+	g, err := workloads.RunWorkload(New(), workloads.WithMode(workloads.GPM), workloads.WithConfig(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
-	pk, _ := workloads.RunOne(NewCPU(StylePmemKV), workloads.CPUOnly, cfg)
-	rd, _ := workloads.RunOne(NewCPU(StyleRocksDB), workloads.CPUOnly, cfg)
-	mx, _ := workloads.RunOne(NewCPU(StyleMatrixKV), workloads.CPUOnly, cfg)
+	pk, _ := workloads.RunWorkload(NewCPU(StylePmemKV), workloads.WithMode(workloads.CPUOnly), workloads.WithConfig(cfg))
+	rd, _ := workloads.RunWorkload(NewCPU(StyleRocksDB), workloads.WithMode(workloads.CPUOnly), workloads.WithConfig(cfg))
+	mx, _ := workloads.RunWorkload(NewCPU(StyleMatrixKV), workloads.WithMode(workloads.CPUOnly), workloads.WithConfig(cfg))
 	if g.Throughput() <= pk.Throughput() || g.Throughput() <= rd.Throughput() || g.Throughput() <= mx.Throughput() {
 		t.Errorf("gpKVS %.2f Mops/s should beat CPU KVS (%.2f, %.2f, %.2f)",
 			g.Throughput()/1e6, pk.Throughput()/1e6, rd.Throughput()/1e6, mx.Throughput()/1e6)
@@ -143,7 +143,7 @@ func TestGpKVSWithDeletes(t *testing.T) {
 	// DELETEs are undo-logged transactions like SETs; the durable store
 	// must reflect committed deletions exactly.
 	w := &GpKVS{DeleteFraction: 0.3}
-	r, err := workloads.RunOne(w, workloads.GPM, workloads.QuickConfig())
+	r, err := workloads.RunWorkload(w, workloads.WithMode(workloads.GPM), workloads.WithConfig(workloads.QuickConfig()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestGpKVSWithDeletes(t *testing.T) {
 }
 
 func TestGpKVSDeletesUnderCAP(t *testing.T) {
-	if _, err := workloads.RunOne(&GpKVS{DeleteFraction: 0.25}, workloads.CAPmm, workloads.QuickConfig()); err != nil {
+	if _, err := workloads.RunWorkload(&GpKVS{DeleteFraction: 0.25}, workloads.WithMode(workloads.CAPmm), workloads.WithConfig(workloads.QuickConfig())); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -168,7 +168,7 @@ func TestGpKVSDeletesUnderCAP(t *testing.T) {
 func TestGpKVSDeleteCrashRecovery(t *testing.T) {
 	// A crash mid-batch with deletes in flight must roll back to the last
 	// committed state (deleted keys restored by the undo log).
-	r, err := workloads.RunWithCrash(&GpKVS{DeleteFraction: 0.3}, workloads.GPM, workloads.QuickConfig(), 40000)
+	r, err := workloads.RunWorkload(&GpKVS{DeleteFraction: 0.3}, workloads.WithMode(workloads.GPM), workloads.WithConfig(workloads.QuickConfig()), workloads.WithCrashAt(40000))
 	if err != nil {
 		t.Fatal(err)
 	}

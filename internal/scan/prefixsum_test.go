@@ -8,7 +8,7 @@ import (
 
 func runMode(t *testing.T, mode workloads.Mode) *workloads.Report {
 	t.Helper()
-	r, err := workloads.RunOne(New(), mode, workloads.QuickConfig())
+	r, err := workloads.RunWorkload(New(), workloads.WithMode(mode), workloads.WithConfig(workloads.QuickConfig()))
 	if err != nil {
 		t.Fatalf("%v: %v", mode, err)
 	}
@@ -25,7 +25,7 @@ func TestPSAllModesCorrect(t *testing.T) {
 }
 
 func TestPSGPUfsUnsupported(t *testing.T) {
-	if _, err := workloads.RunOne(New(), workloads.GPUfs, workloads.QuickConfig()); err == nil {
+	if _, err := workloads.RunWorkload(New(), workloads.WithMode(workloads.GPUfs), workloads.WithConfig(workloads.QuickConfig())); err == nil {
 		t.Fatal("PS should not run on GPUfs")
 	}
 }
@@ -63,7 +63,7 @@ func TestPSWriteAmplificationIsUnity(t *testing.T) {
 
 func TestPSCrashRecoveryResumes(t *testing.T) {
 	cfg := workloads.QuickConfig()
-	r, err := workloads.RunWithCrash(New(), workloads.GPM, cfg, 20000)
+	r, err := workloads.RunWorkload(New(), workloads.WithMode(workloads.GPM), workloads.WithConfig(cfg), workloads.WithCrashAt(20000))
 	if err != nil {
 		t.Fatal(err)
 	}

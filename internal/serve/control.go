@@ -3,8 +3,8 @@ package serve
 import "time"
 
 // batchController decides when the batcher should stop holding the head
-// epoch open and hand it to the applier. It replaces the fixed BatchWait
-// deadline with a runtime decision driven by observed load:
+// epoch open and hand it to the applier: a runtime decision driven by
+// observed load, with BatchWait only as the cap:
 //
 //   - It tracks an EWMA of the request inter-arrival gap and of the wall
 //     cost of one Apply. Their ratio is the fill worth waiting for — the
@@ -17,15 +17,9 @@ import "time"
 //     window, the load is too sparse to batch and the epoch seals as-is —
 //     a lone GET at 3 am never waits out a fixed 500 µs budget.
 //
-// With Adaptive off, the controller reproduces the fixed policy: hold
-// until MaxWait has elapsed since the epoch's first admission (measured
-// from admission, not client enqueue, so a backlog drained after a slow
-// batch does not count the queue time against its own deadline).
-//
 // The controller is driven from the batcher goroutine only and does all
 // time arithmetic on caller-supplied instants, so tests can script it.
 type batchController struct {
-	adaptive bool
 	maxBatch int
 	maxWait  time.Duration // cap on any hold (the configured BatchWait)
 	minWait  time.Duration // floor so a warm pipeline cannot busy-spin
@@ -46,9 +40,8 @@ const (
 	ctrlMaxGapUS = 100_000.0
 )
 
-func newBatchController(adaptive bool, maxBatch int, maxWait time.Duration) *batchController {
+func newBatchController(maxBatch int, maxWait time.Duration) *batchController {
 	return &batchController{
-		adaptive: adaptive,
 		maxBatch: maxBatch,
 		maxWait:  maxWait,
 		minWait:  20 * time.Microsecond,
@@ -85,9 +78,6 @@ func (c *batchController) observeApply(wall time.Duration) {
 // arrivals during one Apply, clamped to [1, MaxBatch]. Under load it grows
 // toward MaxBatch (gaps shrink); on a quiet wire it collapses to 1.
 func (c *batchController) target() int {
-	if !c.adaptive {
-		return c.maxBatch
-	}
 	if c.ewmaGapUS <= 0 || c.ewmaApplyUS <= 0 {
 		return 1 // no rate estimate yet: don't hold anything hostage
 	}
@@ -102,14 +92,10 @@ func (c *batchController) target() int {
 }
 
 // hold returns how much longer a starved pipeline (idle applier) should
-// keep the head epoch open, given its fill and first-admission instant.
-// A result <= 0 means dispatch now.
-func (c *batchController) hold(now, firstAdmit time.Time, fill int) time.Duration {
+// keep the head epoch open, given its fill. A result <= 0 means dispatch now.
+func (c *batchController) hold(now time.Time, fill int) time.Duration {
 	if fill >= c.maxBatch || fill >= c.target() {
 		return 0
-	}
-	if !c.adaptive {
-		return c.maxWait - now.Sub(firstAdmit)
 	}
 	grace := time.Duration(ctrlGrace * c.ewmaGapUS * float64(time.Microsecond))
 	if grace < c.minWait {

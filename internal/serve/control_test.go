@@ -13,13 +13,13 @@ func tick(base time.Time, us int64) time.Time {
 // Before any rate estimate exists the adaptive controller must not hold a
 // lone request hostage: target 1, hold 0 for any non-empty epoch.
 func TestControllerNoEstimateDispatchesImmediately(t *testing.T) {
-	c := newBatchController(true, 256, 500*time.Microsecond)
+	c := newBatchController(256, 500*time.Microsecond)
 	if got := c.target(); got != 1 {
 		t.Errorf("cold target = %d, want 1", got)
 	}
 	base := time.Unix(1000, 0)
 	c.observeArrival(base)
-	if h := c.hold(tick(base, 1), base, 1); h > 0 {
+	if h := c.hold(tick(base, 1), 1); h > 0 {
 		t.Errorf("cold hold = %v, want <= 0", h)
 	}
 }
@@ -27,7 +27,7 @@ func TestControllerNoEstimateDispatchesImmediately(t *testing.T) {
 // Under steady load the target converges to applyCost/gap: arrivals every
 // 10µs against a 1000µs apply justify filling ~100 ops, capped by MaxBatch.
 func TestControllerTargetTracksLoad(t *testing.T) {
-	c := newBatchController(true, 256, 500*time.Microsecond)
+	c := newBatchController(256, 500*time.Microsecond)
 	base := time.Unix(1000, 0)
 	for i := int64(0); i < 200; i++ {
 		c.observeArrival(tick(base, i*10))
@@ -50,13 +50,13 @@ func TestControllerTargetTracksLoad(t *testing.T) {
 
 // A full epoch (fill >= MaxBatch) or one at target never holds.
 func TestControllerFullEpochNeverHolds(t *testing.T) {
-	c := newBatchController(true, 8, 500*time.Microsecond)
+	c := newBatchController(8, 500*time.Microsecond)
 	base := time.Unix(1000, 0)
 	for i := int64(0); i < 50; i++ {
 		c.observeArrival(tick(base, i))
 	}
 	c.observeApply(time.Millisecond)
-	if h := c.hold(tick(base, 50), base, 8); h != 0 {
+	if h := c.hold(tick(base, 50), 8); h != 0 {
 		t.Errorf("full-epoch hold = %v, want 0", h)
 	}
 }
@@ -64,7 +64,7 @@ func TestControllerFullEpochNeverHolds(t *testing.T) {
 // The starved-pipeline grace is measured from the LAST arrival, a few
 // smoothed gaps long, and clamped to [minWait, maxWait].
 func TestControllerGraceFromLastArrival(t *testing.T) {
-	c := newBatchController(true, 256, 500*time.Microsecond)
+	c := newBatchController(256, 500*time.Microsecond)
 	base := time.Unix(1000, 0)
 	for i := int64(0); i < 100; i++ {
 		c.observeArrival(tick(base, i*50)) // steady 50µs gaps
@@ -73,37 +73,20 @@ func TestControllerGraceFromLastArrival(t *testing.T) {
 	last := tick(base, 99*50)
 
 	// Right at the last arrival the grace (~2 gaps = 100µs) is in front of us.
-	h := c.hold(last, base, 1)
+	h := c.hold(last, 1)
 	if h < 50*time.Microsecond || h > 500*time.Microsecond {
 		t.Errorf("hold at last arrival = %v, want ~100µs in (50µs, 500µs]", h)
 	}
 	// Once the grace has expired, dispatch.
-	if h := c.hold(tick(base, 99*50+1000), base, 1); h > 0 {
+	if h := c.hold(tick(base, 99*50+1000), 1); h > 0 {
 		t.Errorf("hold after grace = %v, want <= 0", h)
-	}
-}
-
-// With adaptive off the controller reproduces the fixed policy: hold until
-// MaxWait has elapsed since the epoch's FIRST ADMISSION.
-func TestControllerFixedPolicy(t *testing.T) {
-	c := newBatchController(false, 256, 500*time.Microsecond)
-	base := time.Unix(1000, 0)
-	c.observeArrival(base)
-	if got := c.target(); got != 256 {
-		t.Errorf("fixed target = %d, want MaxBatch", got)
-	}
-	if h := c.hold(tick(base, 100), base, 1); h != 400*time.Microsecond {
-		t.Errorf("fixed hold = %v, want 400µs", h)
-	}
-	if h := c.hold(tick(base, 600), base, 1); h > 0 {
-		t.Errorf("fixed hold past deadline = %v, want <= 0", h)
 	}
 }
 
 // Idle spells between bursts must not poison the rate estimate: a gap is
 // clamped, so the target recovers as soon as the next burst lands.
 func TestControllerIdleGapClamped(t *testing.T) {
-	c := newBatchController(true, 256, 500*time.Microsecond)
+	c := newBatchController(256, 500*time.Microsecond)
 	base := time.Unix(1000, 0)
 	for i := int64(0); i < 100; i++ {
 		c.observeArrival(tick(base, i*10))

@@ -13,100 +13,73 @@ import (
 	"github.com/gpm-sim/gpm/internal/workloads"
 )
 
-// BenchEntry is one (mode, shard count) serving measurement for
-// BENCH_serve.json.
+// BenchEntry is the outcome of one selftest pass over one (mode, shard
+// count) combination. Every field is a count or a verdict; wall-clock
+// numbers are the benchmark's job (go run ./bench).
 type BenchEntry struct {
-	Mode       string  `json:"mode"`
-	Shards     int     `json:"shards"`
-	Ops        int64   `json:"ops"`
-	Errors     int64   `json:"errors"`
-	Batches    int64   `json:"batches"`
-	Throughput float64 `json:"ops_per_sec"` // wall-clock, client-observed
-	P50US      float64 `json:"p50_us"`
-	P95US      float64 `json:"p95_us"`
-	P99US      float64 `json:"p99_us"`
+	Mode    string
+	Shards  int
+	Ops     int64 // client ops completed (txn pass: transactions issued)
+	Batches int64
 	// MeanFill is ops per dispatched epoch (pipeline batching efficiency).
-	MeanFill float64 `json:"mean_batch_fill"`
+	MeanFill float64
 	// CacheHits counts GETs served from the hot-key cache, no kernel trip.
-	CacheHits int64 `json:"cache_hits"`
+	CacheHits int64
 	// SimBatchUS is the mean simulated time per batch across shards.
-	SimBatchUS float64 `json:"sim_batch_us"`
+	SimBatchUS float64
 	// RecoverUS is the summed simulated restart/recovery time across shards
 	// (kill-and-recover runs only).
-	RecoverUS float64 `json:"recover_us,omitempty"`
+	RecoverUS float64
 	// CrashPoints lists the between-stage crash points exercised per shard
 	// by the kill-and-recover pass.
-	CrashPoints []string `json:"crash_points,omitempty"`
-	Recovered   bool     `json:"recovered"`
-	Verified    bool     `json:"verified"`
-	// TracesCaptured / SlowTraces count the per-request pipeline traces the
-	// run sampled (head sampling + slow threshold).
-	TracesCaptured int64 `json:"traces_captured,omitempty"`
-	SlowTraces     int64 `json:"slow_traces,omitempty"`
+	CrashPoints []string
+	Recovered   bool
+	Verified    bool
+	// TracesCaptured counts the per-request pipeline traces the run sampled
+	// (head sampling + slow threshold).
+	TracesCaptured int64
 	// AdminProbed reports that the admin endpoint answered /metrics,
 	// /healthz and /statusz during the run (Admin option).
-	AdminProbed bool `json:"admin_probed,omitempty"`
+	AdminProbed bool
 	// AuditEvents counts recovery-audit events; AuditConsistent reports the
 	// trail matched the injected crash points (kill-and-recover runs).
-	AuditEvents     int  `json:"audit_events,omitempty"`
-	AuditConsistent bool `json:"audit_consistent,omitempty"`
+	AuditEvents     int
+	AuditConsistent bool
 	// Retry marks the exactly-once-client pass: every request carries an
-	// "@cid.seq" ID through the server's dedup window. The price of those
-	// IDs on a clean network is the retry-off vs retry-on throughput delta.
-	Retry      bool  `json:"retry,omitempty"`
-	Retries    int64 `json:"retries,omitempty"`    // RETRY-verdict resends observed
-	Reconnects int64 `json:"reconnects,omitempty"` // transport reconnects observed
-	GaveUp     int64 `json:"gave_up,omitempty"`    // ops abandoned after MaxRetries
+	// "@cid.seq" ID through the server's dedup window.
+	Retry bool
 	// Txn marks the transactional pass: zipf hot-key read-modify-write
-	// transactions over protocol v2 (Ops counts issued transactions,
-	// Throughput/latency cover committed ones). The pass also verifies the
-	// per-key snapshot-isolation ledger against the durable image
-	// (SILedgerKeys = slot-exclusive keys checked) and probes epoch fill
-	// under plain zipf write conflicts with squashing on (ConflictFill)
-	// versus the PR-8 chained-epoch batcher (ChainedFill); FillGain is
-	// their ratio and must stay >= minConflictFillGain.
-	Txn                bool    `json:"txn,omitempty"`
-	TxnCommitted       int64   `json:"txn_committed,omitempty"`
-	TxnAborts          int64   `json:"txn_aborts,omitempty"`
-	TxnConflictRetries int64   `json:"txn_conflict_retries,omitempty"`
-	TxnDropped         int64   `json:"txn_dropped,omitempty"` // MaxAttempts exceeded
-	SILedgerKeys       int     `json:"si_ledger_keys,omitempty"`
-	ConflictFill       float64 `json:"conflict_fill,omitempty"`
-	ChainedFill        float64 `json:"chained_fill,omitempty"`
-	FillGain           float64 `json:"conflict_fill_gain,omitempty"`
+	// transactions over protocol v2, with the per-key snapshot-isolation
+	// ledger verified against the durable image (SILedgerKeys =
+	// slot-exclusive keys checked).
+	Txn                bool
+	TxnCommitted       int64
+	TxnConflictRetries int64
+	TxnDropped         int64 // MaxAttempts exceeded
+	SILedgerKeys       int
 }
 
-// BenchReport is the BENCH_serve.json document.
+// BenchReport is what SelfTest returns: the load's key distribution and
+// one entry per pass.
 type BenchReport struct {
-	Ops       int64        `json:"ops_per_run"`
-	Conns     int          `json:"conns"`
-	Batch     int          `json:"batch"`
-	BatchWait string       `json:"batch_wait"`
-	Adaptive  bool         `json:"adaptive"` // adaptive batch sizing (false = fixed BatchWait)
-	Dist      string       `json:"dist"`
-	Theta     float64      `json:"theta,omitempty"` // zipf only
-	Sets      int          `json:"sets_per_shard"`
-	Seed      uint64       `json:"seed"`
-	Entries   []BenchEntry `json:"entries"`
+	Dist    string
+	Theta   float64 // zipf only
+	Entries []BenchEntry
 }
 
-// SelfTestOptions configures SelfTest / Bench runs.
+// SelfTestOptions configures SelfTest runs.
 type SelfTestOptions struct {
 	Modes       []workloads.Mode
 	ShardCounts []int
 	Ops         int64
 	Conns       int
-	Window      int
 	Sets        int
 	MaxBatch    int
 	BatchWait   time.Duration
-	FixedWait   bool // disable the adaptive controller (legacy fixed deadline)
 	QueueDepth  int
 	HotKeys     int
 	Workers     int
 	Seed        uint64
-	GetFraction float64
-	DelFraction float64
 	Dist        string  // key distribution: DistUniform (default) or DistZipf
 	Theta       float64 // zipf skew (0 = 0.99)
 	// KillAndRecover crashes every shard after the load drains — cycling
@@ -115,23 +88,19 @@ type SelfTestOptions struct {
 	// without the crash).
 	KillAndRecover bool
 	// Admin starts the live admin endpoint (127.0.0.1:0) for each run and
-	// probes /metrics, /healthz and /statusz before shutdown, so the bench
-	// numbers measure the pipeline with the full observability plane on.
+	// probes /metrics, /healthz and /statusz before shutdown.
 	Admin bool
 	// AuditPath, when set, streams the recovery audit trail to this JSONL
 	// file (appending across runs).
 	AuditPath string
-	// RetryPass adds a second measurement per (mode, shards) combination
-	// with the exactly-once retry client enabled, so BENCH_serve.json
-	// records what request IDs and the dedup window cost on a clean network.
+	// RetryPass repeats each (mode, shards) combination with the
+	// exactly-once retry client, so request IDs and the dedup window are
+	// exercised on a clean network.
 	RetryPass bool
-	// TxnPass adds a transactional measurement per (mode, shards): a zipf
-	// hot-key RMW transaction load over protocol v2 with the SI ledger
-	// verified against the durable image, plus the conflict-fill probe
-	// (squash vs NoSquash plain zipf writers) gated at minConflictFillGain.
+	// TxnPass adds a transactional pass per (mode, shards): a zipf hot-key
+	// RMW transaction load over protocol v2 with the SI ledger verified
+	// against the durable image.
 	TxnPass bool
-	Txns    int64 // transactions per txn pass (0 = Ops/8)
-	TxnSize int   // keys per transaction (0 = 2)
 }
 
 func (o *SelfTestOptions) normalize() {
@@ -147,23 +116,8 @@ func (o *SelfTestOptions) normalize() {
 	if o.Conns == 0 {
 		o.Conns = 8
 	}
-	if o.Window == 0 {
-		o.Window = 16
-	}
 	if o.Sets == 0 {
 		o.Sets = 1 << 10
-	}
-	if o.MaxBatch == 0 {
-		o.MaxBatch = 256
-	}
-	if o.BatchWait == 0 {
-		o.BatchWait = 500 * time.Microsecond
-	}
-	if o.QueueDepth == 0 {
-		o.QueueDepth = 1024
-	}
-	if o.GetFraction == 0 && o.DelFraction == 0 {
-		o.GetFraction, o.DelFraction = 0.5, 0.05
 	}
 	if o.Dist == "" {
 		o.Dist = DistUniform
@@ -171,36 +125,17 @@ func (o *SelfTestOptions) normalize() {
 	if o.Dist == DistZipf && o.Theta == 0 {
 		o.Theta = 0.99
 	}
-	if o.Txns == 0 {
-		o.Txns = o.Ops / 8
-		if o.Txns < 64 {
-			o.Txns = 64
-		}
-	}
-	if o.TxnSize == 0 {
-		o.TxnSize = 2
-	}
 }
 
-// SelfTest runs the full serving path in-process for every (mode, shards)
-// combination: real TCP loopback traffic, graceful drain, optional
-// kill-and-recover, and authoritative durable-state verification. It
-// returns the report; any verification or recovery failure is an error.
+// SelfTest is the serving path's correctness smoke. For every (mode, shards)
+// combination it drives real TCP loopback traffic through an in-process
+// server, drains it gracefully, optionally kills and recovers every shard at
+// each crash point, and verifies the durable state and the audit trail;
+// RetryPass and TxnPass repeat that with the exactly-once client and with
+// transactions. Any verification or recovery failure is an error.
 func SelfTest(opts SelfTestOptions) (*BenchReport, error) {
 	opts.normalize()
-	rep := &BenchReport{
-		Ops:       opts.Ops,
-		Conns:     opts.Conns,
-		Batch:     opts.MaxBatch,
-		BatchWait: opts.BatchWait.String(),
-		Adaptive:  !opts.FixedWait,
-		Dist:      opts.Dist,
-		Sets:      opts.Sets,
-		Seed:      opts.Seed,
-	}
-	if opts.Dist == DistZipf {
-		rep.Theta = opts.Theta
-	}
+	rep := &BenchReport{Dist: opts.Dist, Theta: opts.Theta}
 	for _, mode := range opts.Modes {
 		for _, shards := range opts.ShardCounts {
 			entry, err := runSelfTest(opts, mode, shards, false)
@@ -227,126 +162,154 @@ func SelfTest(opts SelfTestOptions) (*BenchReport, error) {
 	return rep, nil
 }
 
-func runSelfTest(opts SelfTestOptions, mode workloads.Mode, shards int, retry bool) (*BenchEntry, error) {
-	tel := telemetry.New()
-	// The observability plane is always on for selftest runs — the numbers
-	// this writes into BENCH_serve.json (and the regression gate reads) must
-	// measure the pipeline WITH tracing and audit enabled, not a stripped
-	// build nobody ships.
+// selfTestServer is one in-process server under selftest, serving on a
+// loopback port with the full observability plane on — tracing and audit
+// always, the admin endpoint when asked — so the smoke exercises the
+// pipeline as it ships, not a stripped build.
+type selfTestServer struct {
+	srv       *Server
+	plane     *ObsPlane
+	addr      string
+	adminAddr string // "" when the admin endpoint is off
+	serveErr  chan error
+}
+
+// startSelfTestServer brings a selftest server up. The caller owns the
+// teardown: drain() once the load is done, plane.Stop() when finished with
+// the audit trail.
+func startSelfTestServer(opts SelfTestOptions, mode workloads.Mode, shards int, admin bool) (*selfTestServer, error) {
 	obsCfg := ObsConfig{AuditPath: opts.AuditPath}
-	if opts.Admin {
+	if admin {
 		obsCfg.AdminAddr = "127.0.0.1:0"
 	}
 	plane, err := NewObsPlane(obsCfg)
 	if err != nil {
 		return nil, err
 	}
-	defer plane.Stop()
 	cfg := Config{
 		Mode:       mode,
 		Shards:     shards,
 		Sets:       opts.Sets,
 		MaxBatch:   opts.MaxBatch,
 		BatchWait:  opts.BatchWait,
-		FixedWait:  opts.FixedWait,
 		QueueDepth: opts.QueueDepth,
 		HotKeys:    opts.HotKeys,
 		Workers:    opts.Workers,
 		Seed:       opts.Seed,
-		Telemetry:  tel,
+		Telemetry:  telemetry.New(),
 	}
 	plane.Apply(&cfg)
+	fail := func(err error) (*selfTestServer, error) {
+		plane.Stop()
+		return nil, err
+	}
 	srv, err := NewServer(cfg)
 	if err != nil {
-		return nil, err
+		return fail(err)
 	}
 	adminAddr, err := plane.Start(srv)
 	if err != nil {
-		return nil, err
+		return fail(err)
 	}
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
+		return fail(err)
+	}
+	s := &selfTestServer{
+		srv: srv, plane: plane, addr: addr.String(), adminAddr: adminAddr,
+		serveErr: make(chan error, 1),
+	}
+	go func() { s.serveErr <- srv.Serve() }()
+	return s, nil
+}
+
+// drain shuts the server down gracefully and reports how the serve loop
+// ended.
+func (s *selfTestServer) drain() error {
+	s.srv.Shutdown(10 * time.Second)
+	if err := <-s.serveErr; err != nil {
+		return fmt.Errorf("serve loop: %w", err)
+	}
+	return nil
+}
+
+// sumCounter totals the per-shard counter serve.shard<i>.<name>.
+func (s *selfTestServer) sumCounter(name string) int64 {
+	var sum int64
+	for i := range s.srv.Shards() {
+		sum += s.srv.Registry().Counter(fmt.Sprintf("serve.shard%d.%s", i, name)).Value()
+	}
+	return sum
+}
+
+func runSelfTest(opts SelfTestOptions, mode workloads.Mode, shards int, retry bool) (*BenchEntry, error) {
+	s, err := startSelfTestServer(opts, mode, shards, opts.Admin)
+	if err != nil {
 		return nil, err
 	}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve() }()
+	defer s.plane.Stop()
+	srv := s.srv
 
 	load, err := RunLoad(LoadConfig{
-		Addr:        addr.String(),
+		Addr:        s.addr,
 		Conns:       opts.Conns,
 		Ops:         opts.Ops,
-		Window:      opts.Window,
-		GetFraction: opts.GetFraction,
-		DelFraction: opts.DelFraction,
+		Window:      16,
+		GetFraction: 0.5,
+		DelFraction: 0.05,
 		KeySpace:    uint64(opts.Sets) * 2, // enough reuse for hits and dels
 		Dist:        opts.Dist,
 		Theta:       opts.Theta,
 		Seed:        opts.Seed,
 		Retry:       retry,
 	})
-	if err != nil {
-		srv.Shutdown(5 * time.Second)
-		return nil, err
-	}
-	adminProbed := false
-	if adminAddr != "" {
+	if err == nil && s.adminAddr != "" {
 		// Probe the admin surface while the server is still live and loaded.
-		if err := probeAdmin(adminAddr, shards); err != nil {
-			srv.Shutdown(5 * time.Second)
-			return nil, fmt.Errorf("admin probe: %w", err)
+		if err = probeAdmin(s.adminAddr, shards); err != nil {
+			err = fmt.Errorf("admin probe: %w", err)
 		}
-		adminProbed = true
 	}
-	srv.Shutdown(10 * time.Second)
-	if err := <-serveErr; err != nil {
-		return nil, fmt.Errorf("serve loop: %w", err)
+	if derr := s.drain(); err == nil {
+		err = derr
+	}
+	if err != nil {
+		return nil, err
 	}
 	if load.Errors > 0 {
 		return nil, fmt.Errorf("%d requests failed under load", load.Errors)
+	}
+	if retry && load.GaveUp > 0 {
+		return nil, fmt.Errorf("%d ops gave up on a clean loopback network", load.GaveUp)
 	}
 
 	entry := &BenchEntry{
 		Mode:        mode.String(),
 		Shards:      shards,
 		Ops:         load.Ops,
-		Errors:      load.Errors,
-		Throughput:  load.Throughput,
-		P50US:       load.P50US,
-		P95US:       load.P95US,
-		P99US:       load.P99US,
-		AdminProbed: adminProbed,
+		AdminProbed: s.adminAddr != "",
 		Retry:       retry,
-		Retries:     load.Retries,
-		Reconnects:  load.Reconnects,
-		GaveUp:      load.GaveUp,
 	}
-	if retry && load.GaveUp > 0 {
-		return nil, fmt.Errorf("%d ops gave up on a clean loopback network", load.GaveUp)
-	}
-	entry.TracesCaptured, entry.SlowTraces = plane.Tracer.Captured()
+	entry.TracesCaptured, _ = s.plane.Tracer.Captured()
 	if load.Ops >= obs.DefaultSampleEvery && entry.TracesCaptured == 0 {
 		return nil, fmt.Errorf("tracing enabled but 0 of %d requests captured", load.Ops)
 	}
-	var served, cacheHits int64
-	reg := tel.Registry()
+	var served int64
 	for i, sh := range srv.Shards() {
 		served += sh.Ops()
 		if sh.Ops() == 0 {
 			return nil, fmt.Errorf("shard %d served 0 ops — keyspace did not span all shards", i)
 		}
-		entry.Batches += reg.Counter(fmt.Sprintf("serve.shard%d.batches", i)).Value()
-		cacheHits += reg.Counter(fmt.Sprintf("serve.shard%d.cache_hits", i)).Value()
 	}
-	if served+cacheHits != load.Ops {
+	entry.Batches, entry.CacheHits = s.sumCounter("batches"), s.sumCounter("cache_hits")
+	if served+entry.CacheHits != load.Ops {
 		return nil, fmt.Errorf("shards served %d ops + %d cache hits, clients completed %d",
-			served, cacheHits, load.Ops)
+			served, entry.CacheHits, load.Ops)
 	}
-	entry.CacheHits = cacheHits
 	if entry.Batches > 0 {
 		// Cache hits never reach a batch; fill measures what the kernel saw.
-		entry.MeanFill = float64(entry.Ops-cacheHits) / float64(entry.Batches)
+		entry.MeanFill = float64(served) / float64(entry.Batches)
 	}
-	if h := reg.Histogram("serve.batch_sim_us", telemetry.LatencyBucketsUS); h.Count() > 0 {
+	if h := srv.Registry().Histogram("serve.batch_sim_us", telemetry.LatencyBucketsUS); h.Count() > 0 {
 		entry.SimBatchUS = float64(h.Sum()) / float64(h.Count())
 	}
 
@@ -386,9 +349,9 @@ func runSelfTest(opts SelfTestOptions, mode workloads.Mode, shards int, retry bo
 		}
 	}
 	entry.Verified = true
-	entry.AuditEvents = plane.Audit.Len()
+	entry.AuditEvents = s.plane.Audit.Len()
 	if opts.KillAndRecover {
-		if err := verifyAuditTrail(plane.Audit.Events(), expected, shards); err != nil {
+		if err := verifyAuditTrail(s.plane.Audit.Events(), expected, shards); err != nil {
 			return nil, fmt.Errorf("audit trail: %w", err)
 		}
 		entry.AuditConsistent = true
@@ -400,71 +363,40 @@ func runSelfTest(opts SelfTestOptions, mode workloads.Mode, shards int, retry bo
 // far above the plain-load range (disjoint dedup/key territory), small
 // enough that conflicting writers are the common case, not the tail.
 const (
-	benchTxnKeyBase  = 1 << 20
-	benchTxnKeySpace = 256
+	selfTestTxnKeyBase  = 1 << 20
+	selfTestTxnKeySpace = 256
 )
 
-// minConflictFillGain is the batching acceptance floor: under zipf-0.99
-// conflicting writers, epoch fill with write-squashing must be at least
-// this multiple of the PR-8 chained-epoch batcher's fill.
-const minConflictFillGain = 2.0
-
-// runTxnSelfTest measures the transactional serving path for one (mode,
+// runTxnSelfTest checks the transactional serving path for one (mode,
 // shards) combination: a zipf hot-key read-modify-write transaction load
-// over protocol v2 (exactly-once client, conflict re-runs), the per-key
-// snapshot-isolation ledger checked against the durable image, and the
-// conflict-fill probe comparing the squashing batcher against the PR-8
-// chained-epoch baseline.
+// over protocol v2 (exactly-once client, conflict re-runs), then the per-key
+// snapshot-isolation ledger against the durable image.
 func runTxnSelfTest(opts SelfTestOptions, mode workloads.Mode, shards int) (*BenchEntry, error) {
-	tel := telemetry.New()
-	plane, err := NewObsPlane(ObsConfig{AuditPath: opts.AuditPath})
+	s, err := startSelfTestServer(opts, mode, shards, false)
 	if err != nil {
 		return nil, err
 	}
-	defer plane.Stop()
-	cfg := Config{
-		Mode:       mode,
-		Shards:     shards,
-		Sets:       opts.Sets,
-		MaxBatch:   opts.MaxBatch,
-		BatchWait:  opts.BatchWait,
-		FixedWait:  opts.FixedWait,
-		QueueDepth: opts.QueueDepth,
-		HotKeys:    opts.HotKeys,
-		Workers:    opts.Workers,
-		Seed:       opts.Seed,
-		Telemetry:  tel,
-	}
-	plane.Apply(&cfg)
-	srv, err := NewServer(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := plane.Start(srv); err != nil {
-		return nil, err
-	}
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve() }()
+	defer s.plane.Stop()
+	srv := s.srv
 
+	txns := opts.Ops / 8
+	if txns < 64 {
+		txns = 64
+	}
 	tres, terr := RunTxnLoad(TxnLoadConfig{
-		Addr:     addr.String(),
+		Addr:     s.addr,
 		Conns:    opts.Conns,
-		Txns:     opts.Txns,
-		TxnSize:  opts.TxnSize,
-		KeyBase:  benchTxnKeyBase,
-		KeySpace: benchTxnKeySpace,
+		Txns:     txns,
+		TxnSize:  2,
+		KeyBase:  selfTestTxnKeyBase,
+		KeySpace: selfTestTxnKeySpace,
 		Dist:     DistZipf,
 		Theta:    0.99,
 		Seed:     opts.Seed,
 		Retry:    true,
 	})
-	srv.Shutdown(10 * time.Second)
-	if err := <-serveErr; err != nil {
-		return nil, fmt.Errorf("serve loop: %w", err)
+	if err := s.drain(); err != nil {
+		return nil, err
 	}
 	if terr != nil {
 		return nil, terr
@@ -479,40 +411,27 @@ func runTxnSelfTest(opts SelfTestOptions, mode workloads.Mode, shards int) (*Ben
 		return nil, fmt.Errorf("repeatable read violated %d times inside open snapshots", tres.ReadAnomalies)
 	}
 	if tres.Txns == 0 {
-		return nil, fmt.Errorf("0 of %d transactions committed", opts.Txns)
+		return nil, fmt.Errorf("0 of %d transactions committed", txns)
 	}
-	if got := tres.Txns + tres.AbortedForGood + tres.GaveUp; got != opts.Txns {
+	if got := tres.Txns + tres.AbortedForGood + tres.GaveUp; got != txns {
 		return nil, fmt.Errorf("txn accounting: %d committed + %d dropped + %d unknown != %d issued",
-			tres.Txns, tres.AbortedForGood, tres.GaveUp, opts.Txns)
+			tres.Txns, tres.AbortedForGood, tres.GaveUp, txns)
 	}
 
 	entry := &BenchEntry{
 		Mode:               mode.String(),
 		Shards:             shards,
-		Ops:                opts.Txns,
-		Throughput:         tres.Throughput,
-		P50US:              tres.P50US,
-		P95US:              tres.P95US,
-		P99US:              tres.P99US,
+		Ops:                txns,
 		Retry:              true,
-		Retries:            tres.Retries,
-		Reconnects:         tres.Reconnects,
 		Txn:                true,
 		TxnCommitted:       tres.Txns,
 		TxnDropped:         tres.AbortedForGood,
 		TxnConflictRetries: tres.ConflictRetries,
 	}
-	reg := tel.Registry()
-	var served int64
-	for i := range srv.Shards() {
-		entry.Batches += reg.Counter(fmt.Sprintf("serve.shard%d.batches", i)).Value()
-		served += reg.Counter(fmt.Sprintf("serve.shard%d.ops", i)).Value()
-		entry.TxnAborts += reg.Counter(fmt.Sprintf("serve.shard%d.txn_aborts", i)).Value()
-	}
-	if entry.Batches > 0 {
+	if entry.Batches = s.sumCounter("batches"); entry.Batches > 0 {
 		// For the txn pass, fill counts epoch-riding requests (COMMITs) per
 		// dispatched epoch: conflicting commits sharing a kernel trip.
-		entry.MeanFill = float64(served) / float64(entry.Batches)
+		entry.MeanFill = float64(s.sumCounter("ops")) / float64(entry.Batches)
 	}
 
 	// SI ledger: every committed transaction read-modify-wrote +1 on each of
@@ -521,14 +440,14 @@ func runTxnSelfTest(opts SelfTestOptions, mode workloads.Mode, shards int) (*Ben
 	// are excluded — a colliding SET legally evicts the incumbent.
 	for _, sh := range srv.Shards() {
 		owners := make(map[int]int)
-		for k := uint64(0); k < benchTxnKeySpace; k++ {
-			key := uint64(benchTxnKeyBase) + k
+		for k := uint64(0); k < selfTestTxnKeySpace; k++ {
+			key := uint64(selfTestTxnKeyBase) + k
 			if int(key%uint64(shards)) == sh.ID() {
 				owners[sh.SlotOf(key)]++
 			}
 		}
-		for k := uint64(0); k < benchTxnKeySpace; k++ {
-			key := uint64(benchTxnKeyBase) + k
+		for k := uint64(0); k < selfTestTxnKeySpace; k++ {
+			key := uint64(selfTestTxnKeyBase) + k
 			if int(key%uint64(shards)) != sh.ID() || owners[sh.SlotOf(key)] != 1 {
 				continue
 			}
@@ -548,88 +467,7 @@ func runTxnSelfTest(opts SelfTestOptions, mode workloads.Mode, shards int) (*Ben
 		return nil, fmt.Errorf("si ledger checked 0 slot-exclusive keys — the invariant was vacuous")
 	}
 	entry.Verified = true
-
-	// Conflict-fill probe: pure zipf-0.99 writers, squashing on vs the PR-8
-	// chained-epoch batcher (NoSquash). The whole point of the commit-window
-	// redesign is that hot-slot conflicts share a kernel epoch; gate it.
-	if entry.ConflictFill, err = conflictFillProbe(opts, mode, shards, false); err != nil {
-		return nil, fmt.Errorf("conflict-fill probe (squash): %w", err)
-	}
-	if entry.ChainedFill, err = conflictFillProbe(opts, mode, shards, true); err != nil {
-		return nil, fmt.Errorf("conflict-fill probe (chained): %w", err)
-	}
-	if entry.ChainedFill > 0 {
-		entry.FillGain = entry.ConflictFill / entry.ChainedFill
-	}
-	if entry.FillGain < minConflictFillGain {
-		return nil, fmt.Errorf("zipf conflict fill %.2f is only %.2fx the chained baseline %.2f, want >= %.1fx",
-			entry.ConflictFill, entry.FillGain, entry.ChainedFill, minConflictFillGain)
-	}
 	return entry, nil
-}
-
-// conflictFillProbe runs a pure-SET zipf-0.99 load — every hot key a
-// conflicting writer — and returns mean epoch fill, with write-squashing
-// either on (the redesigned batcher) or off (PR-8 chaining).
-func conflictFillProbe(opts SelfTestOptions, mode workloads.Mode, shards int, noSquash bool) (float64, error) {
-	tel := telemetry.New()
-	srv, err := NewServer(Config{
-		Mode:       mode,
-		Shards:     shards,
-		Sets:       opts.Sets,
-		MaxBatch:   opts.MaxBatch,
-		BatchWait:  opts.BatchWait,
-		FixedWait:  opts.FixedWait,
-		QueueDepth: opts.QueueDepth,
-		HotKeys:    opts.HotKeys,
-		Workers:    opts.Workers,
-		Seed:       opts.Seed,
-		Telemetry:  tel,
-		NoSquash:   noSquash,
-	})
-	if err != nil {
-		return 0, err
-	}
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		return 0, err
-	}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve() }()
-	load, err := RunLoad(LoadConfig{
-		Addr:     addr.String(),
-		Conns:    opts.Conns,
-		Ops:      opts.Ops,
-		Window:   opts.Window,
-		KeySpace: uint64(opts.Sets) * 2,
-		Dist:     DistZipf,
-		Theta:    0.99,
-		Seed:     opts.Seed,
-	})
-	srv.Shutdown(10 * time.Second)
-	if serr := <-serveErr; serr != nil {
-		return 0, fmt.Errorf("serve loop: %w", serr)
-	}
-	if err != nil {
-		return 0, err
-	}
-	if load.Errors > 0 {
-		return 0, fmt.Errorf("%d requests failed under load", load.Errors)
-	}
-	var batches int64
-	reg := tel.Registry()
-	for i := range srv.Shards() {
-		batches += reg.Counter(fmt.Sprintf("serve.shard%d.batches", i)).Value()
-	}
-	if batches == 0 {
-		return 0, fmt.Errorf("0 batches dispatched for %d ops", load.Ops)
-	}
-	for _, sh := range srv.Shards() {
-		if err := sh.Verify(); err != nil {
-			return 0, err
-		}
-	}
-	return float64(load.Ops) / float64(batches), nil
 }
 
 // crashRound records one injected crash for audit-trail cross-checking.

@@ -25,7 +25,6 @@ type Config struct {
 	Sets        int           // hash sets per shard
 	MaxBatch    int           // ops per batch before forced dispatch
 	BatchWait   time.Duration // cap on how long a starved pipeline holds a partial epoch
-	FixedWait   bool          // true: always hold BatchWait from first admission (legacy fixed policy)
 	QueueDepth  int           // per-shard admission queue (requests)
 	HotKeys     int           // hot-key sketch capacity per shard (0 = 128)
 	DedupWindow int           // committed request IDs remembered per shard (0 = 4096)
@@ -46,11 +45,6 @@ type Config struct {
 	// transactions lose updates — which the campaign's snapshot-isolation
 	// invariant must catch.
 	BreakSI bool
-
-	// NoSquash disables epoch write-squashing and restores the PR-8
-	// chained-epoch admission (every same-slot mutation seals into a later
-	// epoch). Kept as the measured baseline for the conflict-fill probe.
-	NoSquash bool
 }
 
 // Normalize fills zero fields with serving defaults and validates the rest.
@@ -606,7 +600,6 @@ type epochBatch struct {
 	// rolled-back crash flushes the staged pipeline and opens dedup holes.
 	committed bool
 
-	firstAdmit time.Time     // admission of the epoch's oldest op
 	sealedAt   time.Time     // dispatch instant (epoch lag measures from here)
 	applyWall  time.Duration // wall cost of Apply, fed back to the controller
 }
@@ -702,7 +695,7 @@ func newShardWorker(sh *Shard, cfg Config, reg *telemetry.Registry) *shardWorker
 		dispatchCh:  make(chan *epochBatch, 1),
 		commitCh:    make(chan *epochBatch, 1),
 		applierDone: make(chan struct{}),
-		ctrl:        newBatchController(!cfg.FixedWait, cfg.MaxBatch, cfg.BatchWait),
+		ctrl:        newBatchController(cfg.MaxBatch, cfg.BatchWait),
 		cache:       newHotKeyCache(cfg.HotKeys),
 		lastMut:     make(map[int]uint64),
 		lastRead:    make(map[int]uint64),
@@ -955,7 +948,7 @@ func (w *shardWorker) admit(r *request) {
 				}
 				return
 			}
-		} else if !w.cfg.NoSquash {
+		} else {
 			// Staged-image read: the slot has a pending mutation, so the
 			// GET's value is already decided by arrival order. Resolve it
 			// NOW from the staged image, and ride the mutating epoch (or the
@@ -976,17 +969,11 @@ func (w *shardWorker) admit(r *request) {
 				return w.fitsCID(e, r.rid)
 			})
 			eb.getPos = append(eb.getPos, -2)
-			w.finishAdmit(eb, r, now)
+			w.finishAdmit(eb, r)
 			return
 		}
-		// Batched kernel read: cache miss with no staged mutation (or the
-		// NoSquash compat path, where the GET rides the mutating epoch and
-		// reads the post-mutation mirror).
-		floor := cliFloor
-		if mutPending && m > floor {
-			floor = m
-		}
-		eb := w.epochFrom(floor, func(e *epochBatch) bool {
+		// Batched kernel read: cache miss with no staged mutation.
+		eb := w.epochFrom(cliFloor, func(e *epochBatch) bool {
 			return len(e.batch.GetKeys) < w.cfg.MaxBatch && w.fitsCID(e, r.rid)
 		})
 		eb.getPos = append(eb.getPos, len(eb.batch.GetKeys))
@@ -995,7 +982,7 @@ func (w *shardWorker) admit(r *request) {
 		if g, ok := w.lastRead[slot]; !ok || eb.seq > g {
 			w.lastRead[slot] = eb.seq
 		}
-		w.finishAdmit(eb, r, now)
+		w.finishAdmit(eb, r)
 		return
 	}
 
@@ -1005,7 +992,7 @@ func (w *shardWorker) admit(r *request) {
 	floor := cliFloor
 	conflict := false
 	if m, ok := w.lastMut[slot]; ok {
-		if !w.cfg.NoSquash && m >= head && m >= cliFloor {
+		if m >= head && m >= cliFloor {
 			if eb := w.epochAt(m); eb != nil && eb.slots[slot] != nil &&
 				len(eb.batch.VerKeys) < mutCap(w.cfg.MaxBatch) && w.fitsCID(eb, r.rid) {
 				val := r.val
@@ -1015,7 +1002,7 @@ func (w *shardWorker) admit(r *request) {
 				w.stageWrite(eb, slot, r.key, val, r.op == 'D', w.oracle.alloc(1), r.rid)
 				eb.getPos = append(eb.getPos, -1)
 				w.cSquashes.Inc()
-				w.finishAdmit(eb, r, now)
+				w.finishAdmit(eb, r)
 				return
 			}
 		}
@@ -1039,7 +1026,7 @@ func (w *shardWorker) admit(r *request) {
 	}
 	w.stageWrite(eb, slot, r.key, val, r.op == 'D', w.oracle.alloc(1), r.rid)
 	eb.getPos = append(eb.getPos, -1)
-	w.finishAdmit(eb, r, now)
+	w.finishAdmit(eb, r)
 }
 
 // admitTxn validates and stages a transaction COMMIT (op 'C'). Conflict
@@ -1104,19 +1091,16 @@ func (w *shardWorker) admitTxn(r *request, now time.Time, cliFloor uint64) {
 		w.stageWrite(eb, w.shard.SlotOf(k), k, val, t.dels[i], t.cts, rid)
 	}
 	eb.getPos = append(eb.getPos, -1)
-	w.finishAdmit(eb, r, now)
+	w.finishAdmit(eb, r)
 }
 
 // finishAdmit is the common admission tail: dedup registration, client
 // epoch-order floor, and the epoch's pending list.
-func (w *shardWorker) finishAdmit(eb *epochBatch, r *request, now time.Time) {
+func (w *shardWorker) finishAdmit(eb *epochBatch, r *request) {
 	if !r.rid.Zero() {
 		w.dedup.register(r)
 		w.lastCli[r.rid.CID] = eb.seq
 		eb.clients[r.rid.CID] = true
-	}
-	if len(eb.pending) == 0 {
-		eb.firstAdmit = now
 	}
 	eb.pending = append(eb.pending, r)
 	w.stagedOps++
@@ -1344,8 +1328,7 @@ func (w *shardWorker) run() {
 		if w.inflight == nil && len(w.staged) > 0 {
 			hold := time.Duration(0)
 			if !w.drained && len(w.staged) == 1 {
-				head := w.staged[0]
-				hold = w.ctrl.hold(time.Now(), head.firstAdmit, head.batch.Ops())
+				hold = w.ctrl.hold(time.Now(), w.staged[0].batch.Ops())
 			}
 			if hold <= 0 {
 				w.dispatch()

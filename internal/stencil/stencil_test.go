@@ -8,7 +8,7 @@ import (
 
 func run(t *testing.T, w workloads.Workload, mode workloads.Mode) *workloads.Report {
 	t.Helper()
-	r, err := workloads.RunOne(w, mode, workloads.QuickConfig())
+	r, err := workloads.RunWorkload(w, workloads.WithMode(mode), workloads.WithConfig(workloads.QuickConfig()))
 	if err != nil {
 		t.Fatalf("%s/%v: %v", w.Name(), mode, err)
 	}
@@ -48,7 +48,7 @@ func TestSRADGPMBeatsCAPAndCPU(t *testing.T) {
 }
 
 func TestSRADCrashRecovery(t *testing.T) {
-	r, err := workloads.RunWithCrash(NewSRAD(), workloads.GPM, workloads.QuickConfig(), 30000)
+	r, err := workloads.RunWorkload(NewSRAD(), workloads.WithMode(workloads.GPM), workloads.WithConfig(workloads.QuickConfig()), workloads.WithCrashAt(30000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,10 +72,10 @@ func TestHotspotModes(t *testing.T) {
 }
 
 func TestHotspotRejectsGPUfsAndCPU(t *testing.T) {
-	if _, err := workloads.RunOne(NewHotspot(), workloads.GPUfs, workloads.QuickConfig()); err == nil {
+	if _, err := workloads.RunWorkload(NewHotspot(), workloads.WithMode(workloads.GPUfs), workloads.WithConfig(workloads.QuickConfig())); err == nil {
 		t.Error("HS must fail on GPUfs (file too large in the paper)")
 	}
-	if _, err := workloads.RunOne(NewHotspot(), workloads.CPUOnly, workloads.QuickConfig()); err == nil {
+	if _, err := workloads.RunWorkload(NewHotspot(), workloads.WithMode(workloads.CPUOnly), workloads.WithConfig(workloads.QuickConfig())); err == nil {
 		t.Error("HS has no CPU-only counterpart")
 	}
 }
@@ -94,7 +94,7 @@ func TestHotspotCheckpointFasterOnGPM(t *testing.T) {
 
 func TestHotspotCrashRecovery(t *testing.T) {
 	// Crash late enough that at least one checkpoint is durable.
-	r, err := workloads.RunWithCrash(NewHotspot(), workloads.GPM, workloads.QuickConfig(), 140000)
+	r, err := workloads.RunWorkload(NewHotspot(), workloads.WithMode(workloads.GPM), workloads.WithConfig(workloads.QuickConfig()), workloads.WithCrashAt(140000))
 	if err != nil {
 		t.Fatal(err)
 	}

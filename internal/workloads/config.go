@@ -10,7 +10,7 @@ type Config struct {
 	Seed uint64
 
 	// Telemetry, when non-nil, receives spans and metrics from every run
-	// started through RunOne/RunWithCrash. Each run gets its own trace
+	// started through Run/RunWorkload. Each run gets its own trace
 	// process lane named "workload/mode"; metrics aggregate across runs.
 	Telemetry *telemetry.Telemetry
 	// CAPThreads is the CPU thread count for CAP-mm persist phases (the

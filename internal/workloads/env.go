@@ -161,14 +161,8 @@ type Crasher interface {
 	Recover(env *Env) error
 }
 
-// RunOne executes a workload under a mode on a fresh environment and
+// runOne executes a workload under a mode on a fresh environment and
 // returns its report.
-//
-// Deprecated: use Run (by name) or RunWorkload with WithMode/WithConfig.
-func RunOne(w Workload, mode Mode, cfg Config) (*Report, error) {
-	return RunWorkload(w, WithMode(mode), WithConfig(cfg))
-}
-
 func runOne(w Workload, mode Mode, cfg Config) (*Report, error) {
 	if !w.Supports(mode) {
 		return nil, fmt.Errorf("workloads: %s does not support %s", w.Name(), mode)
@@ -220,17 +214,6 @@ func report(w Workload, env *Env) *Report {
 	r.SeqFrac = delta.SeqFraction()
 	r.AlignedFrac = delta.AlignedFraction()
 	return r
-}
-
-// RunWithCrash executes a Crasher with a fault injected after roughly
-// abortAfterOps memory operations inside the op region, simulates a clean
-// power failure, recovers, re-runs to completion, verifies, and reports
-// (the §6.2 / Table 5 methodology). It is RunWithPlan under the friendliest
-// plan: one crash, clean rollback, no nested recovery crashes.
-//
-// Deprecated: use Run/RunWorkload with WithCrashAt.
-func RunWithCrash(w Crasher, mode Mode, cfg Config, abortAfterOps int64) (*Report, error) {
-	return RunWorkload(w, WithMode(mode), WithConfig(cfg), WithCrashAt(abortAfterOps))
 }
 
 // copyKernelGPU moves n bytes from src to dst with a grid of 16B-chunk

@@ -77,7 +77,7 @@ func TestEnvMetrics(t *testing.T) {
 		t.Errorf("OpTime = %v (setup must be excluded)", e.OpTime())
 	}
 	w := &fakeWorkload{}
-	r, err := RunOne(w, GPM, QuickConfig())
+	r, err := RunWorkload(w, WithMode(GPM), WithConfig(QuickConfig()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,13 +116,13 @@ func (f *fakeWorkload) Verify(env *Env) error { f.verify = true; return nil }
 
 func TestRunOneLifecycle(t *testing.T) {
 	w := &fakeWorkload{}
-	if _, err := RunOne(w, GPM, QuickConfig()); err != nil {
+	if _, err := RunWorkload(w, WithMode(GPM), WithConfig(QuickConfig())); err != nil {
 		t.Fatal(err)
 	}
 	if !w.setup || !w.run || !w.verify {
 		t.Error("lifecycle incomplete")
 	}
-	if _, err := RunOne(&fakeWorkload{}, CAPfs, QuickConfig()); err == nil {
+	if _, err := RunWorkload(&fakeWorkload{}, WithMode(CAPfs), WithConfig(QuickConfig())); err == nil {
 		t.Error("unsupported mode should error")
 	}
 }
@@ -153,7 +153,7 @@ func (f *failingWorkload) Verify(env *Env) error {
 
 func TestRunOnePropagatesErrors(t *testing.T) {
 	for _, at := range []string{"setup", "run", "verify"} {
-		if _, err := RunOne(&failingWorkload{failAt: at}, GPM, QuickConfig()); err == nil {
+		if _, err := RunWorkload(&failingWorkload{failAt: at}, WithMode(GPM), WithConfig(QuickConfig())); err == nil {
 			t.Errorf("error in %s not propagated", at)
 		}
 	}

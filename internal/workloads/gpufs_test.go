@@ -73,7 +73,7 @@ func (c *crashingWorkload) Recover(env *Env) error {
 
 func TestRunWithCrashLifecycle(t *testing.T) {
 	w := &crashingWorkload{}
-	r, err := RunWithCrash(w, GPM, QuickConfig(), 5)
+	r, err := RunWorkload(w, WithMode(GPM), WithConfig(QuickConfig()), WithCrashAt(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestRunWithCrashLifecycle(t *testing.T) {
 	if r.Restore != 10 {
 		t.Errorf("restore = %v", r.Restore)
 	}
-	if _, err := RunWithCrash(&crashingWorkload{}, CAPfs, QuickConfig(), 5); err == nil {
+	if _, err := RunWorkload(&crashingWorkload{}, WithMode(CAPfs), WithConfig(QuickConfig()), WithCrashAt(5)); err == nil {
 		t.Error("unsupported mode accepted")
 	}
 }

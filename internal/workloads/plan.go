@@ -52,7 +52,7 @@ func (p CrashPlan) FaultName() string {
 // paths (a single undo kernel, a checkpoint restore) get interrupted.
 const defaultRecrashEvery = 48
 
-// RunWithPlan executes a Crasher under an adversarial crash plan: run until
+// runWithPlan executes a Crasher under an adversarial crash plan: run until
 // the planned crash point, fail the power under the plan's fault model,
 // then drive recovery — re-failing the power mid-recovery RecrashDepth
 // times — and finally verify the recovered state (§6.2 hardened with the
@@ -63,12 +63,6 @@ const defaultRecrashEvery = 48
 // space's persist paths shut off (power has failed), so not even host-side
 // recovery code that keeps executing can make state durable after the
 // failure instant.
-//
-// Deprecated: use Run/RunWorkload with WithCrashPlan.
-func RunWithPlan(w Crasher, mode Mode, cfg Config, plan CrashPlan) (*Report, error) {
-	return RunWorkload(w, WithMode(mode), WithConfig(cfg), WithCrashPlan(plan))
-}
-
 func runWithPlan(w Crasher, mode Mode, cfg Config, plan CrashPlan) (*Report, error) {
 	if !w.Supports(mode) {
 		return nil, fmt.Errorf("workloads: %s does not support %s", w.Name(), mode)

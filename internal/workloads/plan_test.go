@@ -11,7 +11,7 @@ import (
 	"github.com/gpm-sim/gpm/internal/workloads"
 )
 
-// TestCrashPointEdges drives RunWithCrash at the degenerate schedule points:
+// TestCrashPointEdges drives WithCrashAt at the degenerate schedule points:
 // the very first device operation, one op in, and a point far past the total
 // op count (the run completes; the crash hits whatever is left unpersisted).
 func TestCrashPointEdges(t *testing.T) {
@@ -28,7 +28,7 @@ func TestCrashPointEdges(t *testing.T) {
 			tc, pt := tc, pt
 			t.Run(tc.name, func(t *testing.T) {
 				t.Parallel()
-				rep, err := workloads.RunWithCrash(tc.mk(), workloads.GPM, workloads.QuickConfig(), pt)
+				rep, err := workloads.RunWorkload(tc.mk(), workloads.WithMode(workloads.GPM), workloads.WithConfig(workloads.QuickConfig()), workloads.WithCrashAt(pt))
 				if err != nil {
 					t.Fatalf("crash@%d: %v", pt, err)
 				}
@@ -41,7 +41,7 @@ func TestCrashPointEdges(t *testing.T) {
 }
 
 func TestRunWithPlanRejectsUnsupportedMode(t *testing.T) {
-	_, err := workloads.RunWithCrash(kvstore.New(), workloads.CPUOnly, workloads.QuickConfig(), 10)
+	_, err := workloads.RunWorkload(kvstore.New(), workloads.WithMode(workloads.CPUOnly), workloads.WithConfig(workloads.QuickConfig()), workloads.WithCrashAt(10))
 	if err == nil || !strings.Contains(err.Error(), "does not support") {
 		t.Fatalf("want unsupported-mode error, got %v", err)
 	}
@@ -54,12 +54,12 @@ func TestCrashTelemetryCounters(t *testing.T) {
 	cfg := workloads.QuickConfig()
 	tel := telemetry.New()
 	cfg.Telemetry = tel
-	_, err := workloads.RunWithPlan(kvstore.New(), workloads.GPM, cfg, workloads.CrashPlan{
+	_, err := workloads.RunWorkload(kvstore.New(), workloads.WithMode(workloads.GPM), workloads.WithConfig(cfg), workloads.WithCrashPlan(workloads.CrashPlan{
 		AbortAfterOps: 200,
 		Fault:         pmem.TornLines{},
 		FaultSeed:     42,
 		RecrashDepth:  2,
-	})
+	}))
 	if err != nil {
 		t.Fatalf("plan run: %v", err)
 	}

@@ -73,7 +73,8 @@ func WithCrashPlan(p CrashPlan) Option {
 }
 
 // WithCrashAt is shorthand for a clean single-crash plan at the given
-// canonical device-operation index (the original §6.2 methodology).
+// canonical device-operation index (the original §6.2 / Table 5
+// methodology): one crash, clean rollback, no nested recovery crashes.
 func WithCrashAt(abortAfterOps int64) Option {
 	return WithCrashPlan(CrashPlan{AbortAfterOps: abortAfterOps})
 }
@@ -156,9 +157,6 @@ func New(name string) (Workload, error) {
 //	rep, err := workloads.Run("gpKVS",
 //	    workloads.WithCrashAt(30000),
 //	    workloads.WithFaultModel(pmem.TornLines{}))
-//
-// Run replaces RunOne, RunWithCrash, and RunWithPlan, which remain as thin
-// deprecated wrappers.
 func Run(name string, opts ...Option) (*Report, error) {
 	w, err := New(name)
 	if err != nil {
