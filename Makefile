@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet check recover-smoke serve-smoke obs-smoke chaos-smoke txn-smoke determinism bench figures quick-figures clean
+.PHONY: build test race vet check recover-smoke obs-smoke chaos-smoke txn-smoke determinism bench figures quick-figures clean
 
 build:
 	$(GO) build ./...
@@ -13,26 +13,20 @@ test:
 race:
 	$(GO) test -race -timeout 25m ./...
 
+# vet also fails on any file gofmt would rewrite.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt needed:"; echo "$$unformatted"; exit 1; fi
 
 # check is the tier-1 gate: everything CI runs.
-check: vet race recover-smoke serve-smoke obs-smoke chaos-smoke txn-smoke
+check: vet race recover-smoke obs-smoke chaos-smoke txn-smoke
 	$(GO) build ./...
 
 # Deterministic crash-campaign smoke: every recoverable workload, all four
 # fault models, swept crash points, one nested re-crash per recovery.
 recover-smoke:
 	$(GO) run ./cmd/gpmrecover -quick -sweep -maxpoints 2 -recrash-depth 1
-
-# Serving-path smoke: real TCP loopback load through the pipelined gpKVS
-# front-end (10k ops, 2 shards, GPM), kill-and-recover every shard at each
-# between-stage crash point, verify the durable store against the committed
-# oracle and the audit trail against the injected crashes; then the same
-# with the exactly-once client and with transactions. Correctness only —
-# it writes nothing and judges no wall-clock number (that is `make bench`).
-serve-smoke:
-	$(GO) run ./cmd/gpmserve -selftest -ops 10000 -shards 2
 
 # chaos_campaign runs the serve chaos campaign with extra flags $(1), which
 # must pass, then its negative control $(2), which MUST be caught. gpmchaos
@@ -50,23 +44,23 @@ if [ $$rc -ne 1 ]; then \
 fi; echo "$@: negative control caught"
 endef
 
-# Serve-level chaos smoke: deterministic crash campaigns over the whole
-# serving stack — retrying clients through fault-injecting network
-# schedules into shards that power-fail at swept crash points — asserting
-# exactly-once delivery, no lost updates, and durable-state integrity.
-# Then the negative control: with PM dedup persistence deliberately
-# broken, the campaign MUST catch the violation (exit 1) and shrink it.
+# Serve-level chaos smoke, the serving stack's crash harness: deterministic
+# crash campaigns over the whole serving stack — retrying clients through
+# fault-injecting network schedules into shards that power-fail at every
+# crash point — asserting exactly-once delivery, no lost updates,
+# durable-state integrity, an audit trail that matches each injected crash,
+# and no ERR reply or given-up op on the clean network. Then the negative
+# control: with PM dedup persistence deliberately broken, the campaign MUST
+# catch the violation (exit 1) and shrink it.
 chaos-smoke:
 	$(call chaos_campaign,,-break-dedup)
 
-# Transactional serving smoke: zipf hot-key RMW transactions over wire
-# protocol v2 through the exactly-once client, with the per-key snapshot-
-# isolation ledger verified against the durable image. Then the serve chaos
-# campaign re-runs with transaction clients mixed in, and the -break-si
-# negative control (commit validation off) MUST be caught.
+# Transactional serving smoke: the serve chaos campaign with snapshot-
+# isolation transaction clients (wire protocol v2, RMW increments) mixed
+# in, the per-key SI ledger verified against the durable image on every
+# run; then the -break-si negative control (commit validation off) MUST be
+# caught.
 txn-smoke:
-	$(GO) run ./cmd/gpmserve -selftest -ops 6000 -shards 2 -no-recover \
-		-retry-pass=false
 	$(call chaos_campaign,-txn,-break-si)
 
 # Observability smoke: run a real gpmserve process with the admin endpoint,

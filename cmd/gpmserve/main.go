@@ -7,10 +7,9 @@
 // -shards independent simulated nodes.
 //
 //	gpmserve -addr :7070 -mode GPM -shards 4      # serve until SIGTERM
-//	gpmserve -selftest                            # in-process correctness
-//	                                              # smoke: load, kill-and-
-//	                                              # recover, verify
-//	gpmserve -selftest -modes GPM,CAP-fs -shard-counts 1,2,4 -ops 20000
+//
+// Crash-recovery correctness of the serving stack is judged by the chaos
+// campaign (gpmchaos -serve), not by this command.
 package main
 
 import (
@@ -18,8 +17,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
@@ -31,17 +28,13 @@ import (
 // cliOptions mirrors the flag set for upfront validation: every rejection
 // happens before a listener or shard exists, with exit 2 + usage.
 type cliOptions struct {
-	addr, mode, modes, shardCounts string
-	adminAddr, audit               string
-	shards, sets, batch, queue     int
-	hotKeys, workers, capThreads   int
-	ops                            int64
-	batchWait, drain               time.Duration
-	selftest, noRecover            bool
-	retryPass, txnPass             bool
+	addr, mode, adminAddr, audit string
+	shards, sets, batch, queue   int
+	hotKeys, workers, capThreads int
+	batchWait, drain             time.Duration
 }
 
-// validateCLI checks value ranges and cross-flag consistency. Mode names
+// validateCLI checks value ranges. Mode names
 // are resolved against the servable set, so a typo (or a mode like GPUfs
 // that cannot serve) fails here rather than mid-listen.
 func validateCLI(o cliOptions) error {
@@ -75,64 +68,10 @@ func validateCLI(o cliOptions) error {
 	if o.drain <= 0 {
 		return fmt.Errorf("-drain-timeout must be > 0, got %s", o.drain)
 	}
-	if o.ops < 1 {
-		return fmt.Errorf("-ops must be >= 1, got %d", o.ops)
-	}
 	if o.hotKeys < 1 {
 		return fmt.Errorf("-hotkeys must be >= 1, got %d", o.hotKeys)
 	}
-	if o.selftest && o.adminAddr != "" {
-		return fmt.Errorf("-admin-addr only applies when serving (selftest probes an ephemeral admin endpoint itself)")
-	}
-	if !o.selftest {
-		if o.modes != "" {
-			return fmt.Errorf("-modes only applies with -selftest (use -mode to pick the serving mode)")
-		}
-		if o.shardCounts != "" {
-			return fmt.Errorf("-shard-counts only applies with -selftest (use -shards)")
-		}
-	}
-	if _, err := parseModes(o.modes); err != nil {
-		return fmt.Errorf("-modes: %w", err)
-	}
-	if _, err := parseShardCounts(o.shardCounts); err != nil {
-		return fmt.Errorf("-shard-counts: %w", err)
-	}
 	return nil
-}
-
-// parseModes resolves a comma-separated servable mode list; empty = nil
-// (SelfTest defaults to GPM).
-func parseModes(spec string) ([]workloads.Mode, error) {
-	if spec == "" {
-		return nil, nil
-	}
-	var out []workloads.Mode
-	for _, name := range strings.Split(spec, ",") {
-		m, err := serve.ModeByName(strings.TrimSpace(name))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, m)
-	}
-	return out, nil
-}
-
-// parseShardCounts parses a comma-separated list of shard counts; empty =
-// nil (SelfTest defaults to 2).
-func parseShardCounts(spec string) ([]int, error) {
-	if spec == "" {
-		return nil, nil
-	}
-	var out []int
-	for _, s := range strings.Split(spec, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(s))
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("shard count %q must be an integer >= 1", s)
-		}
-		out = append(out, n)
-	}
-	return out, nil
 }
 
 func main() {
@@ -152,25 +91,14 @@ func main() {
 		metricsTo  = flag.String("metrics", "", "write the telemetry metrics registry as TSV to this file on shutdown (flushed once when SIGTERM lands and again with final counts at exit)")
 		adminAddr  = flag.String("admin-addr", "", "admin HTTP listen address for /metrics, /healthz, /statusz, /debug/trace (empty = disabled)")
 		auditPath  = flag.String("audit", "", "append recovery audit events (crash/restart/verify/drain) as JSONL to this file")
-
-		selftest   = flag.Bool("selftest", false, "run the in-process smoke test (load, kill-and-recover, verify) instead of serving")
-		modesSpec  = flag.String("modes", "", "selftest: comma-separated modes (default GPM)")
-		countsSpec = flag.String("shard-counts", "", "selftest: comma-separated shard counts (default 2)")
-		ops        = flag.Int64("ops", 10000, "selftest: total client operations per (mode, shards) run")
-		noRecover  = flag.Bool("no-recover", false, "selftest: skip the kill-and-recover pass")
-		retryPass  = flag.Bool("retry-pass", true, "selftest: repeat each config with the exactly-once retry client")
-		txnPass    = flag.Bool("txn-pass", true, "selftest: also run each config under zipf hot-key RMW transactions (protocol v2) and verify the SI ledger")
 	)
 	flag.Parse()
 
 	o := cliOptions{
-		addr: *addr, mode: *modeName, modes: *modesSpec, shardCounts: *countsSpec,
-		adminAddr: *adminAddr, audit: *auditPath,
+		addr: *addr, mode: *modeName, adminAddr: *adminAddr, audit: *auditPath,
 		shards: *shards, sets: *sets, batch: *batch, queue: *queue, hotKeys: *hotKeys,
 		workers: *workers, capThreads: *capThreads,
-		ops: *ops, batchWait: *batchWait, drain: *drain,
-		selftest: *selftest, noRecover: *noRecover,
-		retryPass: *retryPass, txnPass: *txnPass,
+		batchWait: *batchWait, drain: *drain,
 	}
 	if err := validateCLI(o); err != nil {
 		fmt.Fprintln(os.Stderr, "gpmserve:", err)
@@ -178,10 +106,6 @@ func main() {
 		os.Exit(2)
 	}
 	mode, _ := serve.ModeByName(*modeName)
-
-	if *selftest {
-		os.Exit(runSelfTest(o, mode, *seed))
-	}
 	os.Exit(runServer(o, mode, *seed, *metricsTo))
 }
 
@@ -277,54 +201,4 @@ func flushMetrics(tel *telemetry.Telemetry, path, note string) error {
 	}
 	fmt.Fprintf(os.Stderr, "metrics -> %s%s\n", path, note)
 	return nil
-}
-
-// runSelfTest drives the whole serving path in-process and prints one
-// summary line per pass. Any verification or recovery failure is fatal.
-func runSelfTest(o cliOptions, mode workloads.Mode, seed uint64) int {
-	modes, _ := parseModes(o.modes)
-	if len(modes) == 0 {
-		modes = []workloads.Mode{mode}
-	}
-	counts, _ := parseShardCounts(o.shardCounts)
-	if len(counts) == 0 {
-		counts = []int{o.shards}
-	}
-	rep, err := serve.SelfTest(serve.SelfTestOptions{
-		Modes:          modes,
-		ShardCounts:    counts,
-		Ops:            o.ops,
-		Sets:           o.sets,
-		MaxBatch:       o.batch,
-		BatchWait:      o.batchWait,
-		QueueDepth:     o.queue,
-		HotKeys:        o.hotKeys,
-		Workers:        o.workers,
-		Seed:           seed,
-		KillAndRecover: !o.noRecover,
-		Admin:          true,
-		AuditPath:      o.audit,
-		RetryPass:      o.retryPass,
-		TxnPass:        o.txnPass,
-	})
-	for _, e := range rep.Entries {
-		if e.Txn {
-			fmt.Printf("%-8s x%d [txn]: %d txns (%d committed, %d dropped, %d conflict retries), %d batches (fill %.1f), SI ledger %d keys, verified=%v\n",
-				e.Mode, e.Shards, e.Ops, e.TxnCommitted, e.TxnDropped, e.TxnConflictRetries,
-				e.Batches, e.MeanFill, e.SILedgerKeys, e.Verified)
-			continue
-		}
-		tag := ""
-		if e.Retry {
-			tag = " [retry]"
-		}
-		fmt.Printf("%-8s x%d%s: %d ops, %d batches (fill %.1f), %d cache hits, recovered=%v verified=%v, %d traces, %d audit events (consistent=%v)\n",
-			e.Mode, e.Shards, tag, e.Ops, e.Batches, e.MeanFill, e.CacheHits, e.Recovered, e.Verified,
-			e.TracesCaptured, e.AuditEvents, e.AuditConsistent)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "gpmserve:", err)
-		return 1
-	}
-	return 0
 }

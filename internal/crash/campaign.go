@@ -243,19 +243,29 @@ func (c *Campaign) Run(mk func() workloads.Crasher, cfg workloads.Config) (*Work
 	return wc, nil
 }
 
-// workers resolves the campaign's worker-pool size. The CLIs validate
-// their -workers flags upfront; library callers setting Campaign.Workers
-// directly get the same bound (a pool larger than MaxWorkers is certainly
-// a miscomputed value, and buys nothing — runs beyond the descriptor count
-// just idle).
-func (c *Campaign) workers() int {
-	if c.Workers > workloads.MaxWorkers {
-		return workloads.MaxWorkers
+// fanOut runs job(i) for every i in [0, n) on a pool of at most workers
+// goroutines (<= 0 = GOMAXPROCS). The CLIs validate their -workers flags
+// upfront; library callers setting a campaign's Workers directly get the
+// same bound here (a pool larger than MaxWorkers is certainly a
+// miscomputed value, and one larger than n just idles). Jobs commit their
+// results by index, so the outcome is the same for every pool size.
+func fanOut(workers, n int, job func(i int)) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	if c.Workers > 0 {
-		return c.Workers
+	workers = min(workers, workloads.MaxWorkers, n)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for wk := 0; wk < workers; wk++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				job(i)
+			}
+		}()
 	}
-	return runtime.GOMAXPROCS(0)
+	wg.Wait()
 }
 
 // execute fans the descriptor list over a bounded worker pool. Each run is a
@@ -272,42 +282,25 @@ func (c *Campaign) workers() int {
 func (c *Campaign) execute(mk func() workloads.Crasher, cfg workloads.Config, descs []runDesc) ([]RunRecord, error) {
 	recs := make([]RunRecord, len(descs))
 	tels := make([]*telemetry.Telemetry, len(descs))
-	n := c.workers()
-	if n > len(descs) {
-		n = len(descs)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for wk := 0; wk < n; wk++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(descs) {
-					return
-				}
-				d := descs[i]
-				runCfg := cfg
-				if cfg.Telemetry != nil {
-					tels[i] = telemetry.New()
-					runCfg.Telemetry = tels[i]
-				}
-				rec := d.rec
-				rep, err := workloads.RunWorkload(mk(),
-					workloads.WithMode(d.mode),
-					workloads.WithConfig(runCfg),
-					workloads.WithCrashPlan(d.plan))
-				if err != nil {
-					rec.Err = err.Error()
-				} else {
-					rec.RestoreUS = rep.Restore.Seconds() * 1e6
-				}
-				recs[i] = rec
-			}
-		}()
-	}
-	wg.Wait()
+	fanOut(c.Workers, len(descs), func(i int) {
+		d := descs[i]
+		runCfg := cfg
+		if cfg.Telemetry != nil {
+			tels[i] = telemetry.New()
+			runCfg.Telemetry = tels[i]
+		}
+		rec := d.rec
+		rep, err := workloads.RunWorkload(mk(),
+			workloads.WithMode(d.mode),
+			workloads.WithConfig(runCfg),
+			workloads.WithCrashPlan(d.plan))
+		if err != nil {
+			rec.Err = err.Error()
+		} else {
+			rec.RestoreUS = rep.Restore.Seconds() * 1e6
+		}
+		recs[i] = rec
+	})
 	if cfg.Telemetry != nil {
 		reg := cfg.Telemetry.Registry()
 		for _, t := range tels {

@@ -3,13 +3,11 @@ package crash
 import (
 	"fmt"
 	"hash/fnv"
-	"runtime"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/gpm-sim/gpm/internal/faultnet"
+	"github.com/gpm-sim/gpm/internal/obs"
 	"github.com/gpm-sim/gpm/internal/pmem"
 	"github.com/gpm-sim/gpm/internal/serve"
 	"github.com/gpm-sim/gpm/internal/workloads"
@@ -32,7 +30,16 @@ import (
 //     oracle after recovery,
 //   - snapshot isolation (Txn runs): transaction accounting, repeatable
 //     reads inside open snapshots, and the per-key commit ledger all hold
-//     for the v2 transaction clients sharing the run.
+//     for the v2 transaction clients sharing the run, and the ledger
+//     checked at least one key,
+//   - recovery audit: the run's audit trail records exactly the crash the
+//     plan injected, and its restart's replay evidence matches that crash
+//     point (see verifyAuditTrail),
+//   - clean network: on the clean schedule no client saw an ERR reply or
+//     gave up on an op.
+//
+// ServeCampaign is the serving stack's one crash harness: gpmchaos drives
+// it, and nothing else injects crashes into a live server.
 //
 // Every run is precomputed into a descriptor before execution and fully
 // isolated (its own simulated node, server, and pipe), so records commit by
@@ -64,7 +71,7 @@ type ServeCampaign struct {
 	RecrashDepth int
 
 	// Workers bounds concurrent runs (0 = GOMAXPROCS, 1 = the serial
-	// determinism reference).
+	// determinism reference, clamped to workloads.MaxWorkers).
 	Workers int
 
 	// BreakDedup disables the shard's PM dedup persistence in every run —
@@ -289,29 +296,7 @@ func (c *ServeCampaign) Run(shrink bool) (*ServeCampaignReport, error) {
 		return nil, fmt.Errorf("crash: serve campaign has empty sweep axes")
 	}
 	recs := make([]ServeRunRecord, len(descs))
-	n := c.Workers
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	if n > len(descs) {
-		n = len(descs)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for wk := 0; wk < n; wk++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(descs) {
-					return
-				}
-				recs[i] = c.runOne(descs[i])
-			}
-		}()
-	}
-	wg.Wait()
+	fanOut(c.Workers, len(descs), func(i int) { recs[i] = c.runOne(descs[i]) })
 
 	rep := &ServeCampaignReport{Runs: recs}
 	h := fnv.New64a()
@@ -343,9 +328,11 @@ func (c *ServeCampaign) runOne(d serveDesc) ServeRunRecord {
 		rec.Err = fmt.Sprintf(format, args...)
 		return rec
 	}
+	audit := obs.NewAuditLog(0)
 	srv, err := serve.NewServer(serve.Config{
 		Mode: d.mode, Shards: 1, Sets: 64, MaxBatch: 8, Workers: 1,
 		DedupWindow: 64, Seed: rec.FaultSeed, BreakSI: c.BreakSI,
+		Audit: audit,
 	})
 	if err != nil {
 		return fail("boot: %v", err)
@@ -434,8 +421,20 @@ func (c *ServeCampaign) runOne(d serveDesc) ServeRunRecord {
 	if err := sh.Verify(); err != nil {
 		probs = append(probs, fmt.Sprintf("store verify: %v", err))
 	}
+	var injected []crashRound
+	if sh.PlanFired() {
+		injected = []crashRound{{shard: sh.ID(), point: d.point}}
+	}
+	if err := verifyAuditTrail(audit.Events(), injected); err != nil {
+		probs = append(probs, fmt.Sprintf("audit trail: %v", err))
+	}
+	clean := d.sched.Name == "clean"
+	if clean && res != nil && (res.Errors > 0 || res.GaveUp > 0) {
+		probs = append(probs, fmt.Sprintf(
+			"clean network: %d ERR replies, %d ops given up", res.Errors, res.GaveUp))
+	}
 	if c.Txn {
-		probs = append(probs, c.txnProbs(tres, tErr, sh)...)
+		probs = append(probs, c.txnProbs(tres, tErr, sh, clean)...)
 	}
 	if len(probs) > 0 {
 		return fail("%s", strings.Join(probs, "; "))
@@ -455,14 +454,20 @@ func (c *ServeCampaign) runOne(d serveDesc) ServeRunRecord {
 // client-side tally: at least every acknowledged commit, at most that
 // plus the commits whose outcome stayed unknown. Keys sharing a store
 // slot with any other key — plain or transactional — are excluded, since
-// a colliding SET legally evicts the incumbent's value.
-func (c *ServeCampaign) txnProbs(tres *serve.TxnLoadResult, tErr error, sh *serve.Shard) []string {
+// a colliding SET legally evicts the incumbent's value; a ledger left
+// with no key to check is itself a failure. On a clean network the txn
+// clients must also see no ERR verdict and leave no commit unresolved.
+func (c *ServeCampaign) txnProbs(tres *serve.TxnLoadResult, tErr error, sh *serve.Shard, clean bool) []string {
 	var probs []string
 	if tErr != nil {
 		probs = append(probs, fmt.Sprintf("txn client gave out: %v", tErr))
 	}
 	if tres == nil {
 		return probs
+	}
+	if clean && (tres.Errors > 0 || tres.GaveUp > 0) {
+		probs = append(probs, fmt.Sprintf(
+			"clean network: txn clients saw %d errors, %d commits unresolved", tres.Errors, tres.GaveUp))
 	}
 	if tErr == nil {
 		if got := tres.Txns + tres.AbortedForGood + tres.GaveUp; got != c.txns() {
@@ -482,11 +487,13 @@ func (c *ServeCampaign) txnProbs(tres *serve.TxnLoadResult, tErr error, sh *serv
 	for k := uint64(0); k < serveTxnKeySpace; k++ {
 		owners[sh.SlotOf(serveTxnKeyBase+k)]++
 	}
+	checked := 0
 	for k := uint64(0); k < serveTxnKeySpace; k++ {
 		key := serveTxnKeyBase + k
 		if owners[sh.SlotOf(key)] != 1 {
 			continue
 		}
+		checked++
 		lo := tres.Committed[key]
 		hi := lo + tres.Unresolved[key]
 		v, _ := sh.MVCCLatest(key) // absent reads as 0
@@ -496,7 +503,115 @@ func (c *ServeCampaign) txnProbs(tres *serve.TxnLoadResult, tErr error, sh *serv
 				key, v, lo, hi, tres.Committed[key], tres.Unresolved[key]))
 		}
 	}
+	if checked == 0 {
+		probs = append(probs, "si ledger checked 0 slot-exclusive keys — the invariant was vacuous")
+	}
 	return probs
+}
+
+// crashRound is one crash a run injected, for audit-trail cross-checking.
+type crashRound struct {
+	shard int
+	point serve.CrashPoint
+}
+
+// verifyAuditTrail cross-checks the recovery audit trail against the
+// crashes actually injected: every crash event pairs with a restart whose
+// replay evidence matches what that crash point must have left behind,
+// given the store slots the crash event says its batch put at risk —
+//
+//	before-kernel  tx flag set, all geometries replayed, 0 slots undone
+//	               (the log was still empty);
+//	mid-kernel     tx flag set, replay undid at most the at-risk slots;
+//	before-commit  tx flag set, replay undid EXACTLY the at-risk slots
+//	               (fully logged, never committed) — at most, when nested
+//	               re-crashes sit between crash and restart, since their
+//	               partial replays already consumed entries;
+//	before-reply   tx flag clear (the batch committed), nothing replayed.
+//
+// Re-crash events may only sit between a crash and its restart. The trail
+// must close with at least one verify event, and every verify must be "ok".
+func verifyAuditTrail(events []obs.AuditEvent, expected []crashRound) error {
+	var crashes, recrashes, restarts, verifies []obs.AuditEvent
+	for _, ev := range events {
+		switch {
+		case ev.Type == obs.AuditCrash && ev.Point == serve.RecoveryCrashPoint:
+			recrashes = append(recrashes, ev)
+		case ev.Type == obs.AuditCrash:
+			crashes = append(crashes, ev)
+		case ev.Type == obs.AuditRestart:
+			restarts = append(restarts, ev)
+		case ev.Type == obs.AuditVerify:
+			verifies = append(verifies, ev)
+		}
+	}
+	if len(crashes) != len(expected) || len(restarts) != len(expected) {
+		return fmt.Errorf("%d crash / %d restart events for %d injected crashes",
+			len(crashes), len(restarts), len(expected))
+	}
+	placed := 0
+	for i, want := range expected {
+		c, r := crashes[i], restarts[i]
+		if c.Shard != want.shard || c.Point != want.point.String() {
+			return fmt.Errorf("crash %d recorded shard %d point %q, injected shard %d point %s",
+				i, c.Shard, c.Point, want.shard, want.point)
+		}
+		if r.Shard != want.shard {
+			return fmt.Errorf("restart %d on shard %d, crash was on shard %d", i, r.Shard, want.shard)
+		}
+		if r.Seq <= c.Seq {
+			return fmt.Errorf("restart %d (seq %d) not after its crash (seq %d)", i, r.Seq, c.Seq)
+		}
+		nested := 0
+		for _, rc := range recrashes {
+			if rc.Shard == want.shard && rc.Seq > c.Seq && rc.Seq < r.Seq {
+				nested++
+			}
+		}
+		placed += nested
+		wantTx := want.point != serve.CrashBeforeReply
+		if r.TxSet != wantTx {
+			return fmt.Errorf("restart %d after %s found tx_set=%v, want %v", i, want.point, r.TxSet, wantTx)
+		}
+		if wantTx && len(r.Geometries) == 0 {
+			return fmt.Errorf("restart %d after %s replayed no log geometries", i, want.point)
+		}
+		if !wantTx && (len(r.Geometries) != 0 || r.SlotsRolledBack != 0) {
+			return fmt.Errorf("restart %d after %s replayed %v geoms, undid %d slots; committed batches must not be rolled back",
+				i, want.point, r.Geometries, r.SlotsRolledBack)
+		}
+		atRisk := int64(c.AtRisk)
+		switch want.point {
+		case serve.CrashBeforeKernel:
+			if r.SlotsRolledBack != 0 {
+				return fmt.Errorf("restart %d after %s undid %d slots, want 0 (kernel never ran)",
+					i, want.point, r.SlotsRolledBack)
+			}
+		case serve.CrashMidKernel:
+			if r.SlotsRolledBack > atRisk {
+				return fmt.Errorf("restart %d after %s undid %d slots, batch only put %d at risk",
+					i, want.point, r.SlotsRolledBack, atRisk)
+			}
+		case serve.CrashBeforeCommit:
+			if r.SlotsRolledBack > atRisk || (nested == 0 && r.SlotsRolledBack != atRisk) {
+				return fmt.Errorf("restart %d after %s undid %d slots, want exactly %d (fully logged, uncommitted; %d nested re-crashes)",
+					i, want.point, r.SlotsRolledBack, atRisk, nested)
+			}
+		}
+	}
+	if placed != len(recrashes) {
+		return fmt.Errorf("%d of %d re-crash events sit outside any crash/restart window",
+			len(recrashes)-placed, len(recrashes))
+	}
+	if len(verifies) == 0 {
+		return fmt.Errorf("no verify event")
+	}
+	for _, v := range verifies {
+		if v.Outcome != "ok" {
+			return fmt.Errorf("shard %d verify outcome %q: %s", v.Shard, v.Outcome, v.Err)
+		}
+	}
+	return nil
 }
 
 // ShrinkServe minimizes a failing serve run along four axes in severity
@@ -563,19 +678,20 @@ func (c *ServeCampaign) ShrinkServe(rec ServeRunRecord) *ServeShrunk {
 			cur, lastErr = cand, e
 		}
 	}
-	// Smallest apply index that still fails (binary search toward 1).
-	lo, hi := int64(1), cur.index
-	for lo < hi {
-		mid := lo + (hi-lo)/2
-		cand := cur
-		cand.index, cand.rec.ApplyIndex = mid, mid
+	// Smallest apply index that still fails (binary search toward 1). The
+	// search probes ever-smaller failing indices, so keeping each confirmed
+	// failure leaves cur at the smallest one found.
+	base := cur
+	smallestFailing(1, base.index, func(idx int64) bool {
+		cand := base
+		cand.index, cand.rec.ApplyIndex = idx, idx
 		cand = reseed(cand)
-		if ok, e := fails(cand); ok {
-			hi, cur, lastErr = mid, cand, e
-		} else {
-			lo = mid + 1
+		ok, e := fails(cand)
+		if ok {
+			cur, lastErr = cand, e
 		}
-	}
+		return ok
+	})
 	// Halve the op count while the failure survives.
 	for cur.ops > 8 {
 		cand := cur

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/gpm-sim/gpm/internal/faultnet"
+	"github.com/gpm-sim/gpm/internal/obs"
 	"github.com/gpm-sim/gpm/internal/pmem"
 	"github.com/gpm-sim/gpm/internal/serve"
 	"github.com/gpm-sim/gpm/internal/workloads"
@@ -215,5 +216,54 @@ func TestServeCampaignBreakSICaught(t *testing.T) {
 	}
 	if rec.Verdict != ServeVerdictFail {
 		t.Errorf("replayed shrunk tuple verdict = %s, want fail (%+v)", rec.Verdict, rec)
+	}
+}
+
+// verifyAuditTrail rejects trails whose replay evidence contradicts the
+// injected crash points, and relaxes the before-commit rollback count only
+// when nested re-crashes sit between the crash and its restart.
+func TestVerifyAuditTrailRejectsMismatch(t *testing.T) {
+	injected := []crashRound{{shard: 0, point: serve.CrashBeforeCommit}}
+	trail := func(mutate func(evs []obs.AuditEvent) []obs.AuditEvent) []obs.AuditEvent {
+		evs := []obs.AuditEvent{
+			{Seq: 1, Type: obs.AuditCrash, Shard: 0, Point: "before-commit", AtRisk: 8},
+			{Seq: 3, Type: obs.AuditRestart, Shard: 0, TxSet: true, Geometries: []int{1, 2}, SlotsRolledBack: 8},
+			{Seq: 4, Type: obs.AuditVerify, Shard: 0, Outcome: "ok"},
+		}
+		if mutate != nil {
+			evs = mutate(evs)
+		}
+		return evs
+	}
+	if err := verifyAuditTrail(trail(nil), injected); err != nil {
+		t.Fatalf("consistent trail rejected: %v", err)
+	}
+	recrash := obs.AuditEvent{Seq: 2, Type: obs.AuditCrash, Shard: 0, Point: serve.RecoveryCrashPoint}
+	partial := func(e []obs.AuditEvent) []obs.AuditEvent {
+		e[1].SlotsRolledBack = 3
+		return append(e, recrash)
+	}
+	if err := verifyAuditTrail(trail(partial), injected); err != nil {
+		t.Errorf("partial rollback after a nested re-crash rejected: %v", err)
+	}
+	for name, mutate := range map[string]func([]obs.AuditEvent) []obs.AuditEvent{
+		"wrong rollback count": func(e []obs.AuditEvent) []obs.AuditEvent { e[1].SlotsRolledBack = 3; return e },
+		"rollback over risk":   func(e []obs.AuditEvent) []obs.AuditEvent { e[0].AtRisk = 5; return append(e, recrash) },
+		"tx flag clear":        func(e []obs.AuditEvent) []obs.AuditEvent { e[1].TxSet = false; return e },
+		"wrong crash point":    func(e []obs.AuditEvent) []obs.AuditEvent { e[0].Point = "mid-kernel"; return e },
+		"wrong shard":          func(e []obs.AuditEvent) []obs.AuditEvent { e[1].Shard = 7; return e },
+		"verify failed":        func(e []obs.AuditEvent) []obs.AuditEvent { e[2].Outcome = "fail"; return e },
+		"stray re-crash": func(e []obs.AuditEvent) []obs.AuditEvent {
+			r := recrash
+			r.Seq = 9
+			return append(e, r)
+		},
+	} {
+		if err := verifyAuditTrail(trail(mutate), injected); err == nil {
+			t.Errorf("%s: inconsistent trail accepted", name)
+		}
+	}
+	if err := verifyAuditTrail(nil, []crashRound{{shard: 0, point: serve.CrashMidKernel}}); err == nil {
+		t.Error("missing events accepted")
 	}
 }

@@ -26,6 +26,21 @@ type ShrunkFailure struct {
 // dirty far fewer lines than this.
 const shrinkLimitCap = 1 << 12
 
+// smallestFailing binary-searches [lo, hi] for the smallest value fails
+// accepts, taking hi as known to fail. Failure is not guaranteed monotone,
+// so the result may not fail at all: callers re-confirm it.
+func smallestFailing(lo, hi int64, fails func(int64) bool) int64 {
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if fails(mid) {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
+}
+
 // Shrink minimizes a failing run record. It binary-searches the smallest
 // crash point that still fails verification, then the smallest fault subset
 // (a prefix of the dirty lines in write order, via pmem.Subset) that still
@@ -57,16 +72,7 @@ func (c *Campaign) Shrink(mk func() workloads.Crasher, cfg workloads.Config, rec
 	}
 
 	// Phase 1: earliest failing crash point at full fault strength.
-	lo, hi := int64(1), rec.CrashAt
-	for lo < hi {
-		mid := lo + (hi-lo)/2
-		if fails(mid, 0) {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	crashAt := lo
+	crashAt := smallestFailing(1, rec.CrashAt, func(at int64) bool { return fails(at, 0) })
 	if !fails(crashAt, 0) {
 		crashAt = rec.CrashAt // non-monotone search missed; keep the known-bad point
 	}
@@ -74,15 +80,7 @@ func (c *Campaign) Shrink(mk func() workloads.Crasher, cfg workloads.Config, rec
 	// Phase 2: smallest faulted-line prefix that still fails there.
 	limit := 0
 	if fails(crashAt, shrinkLimitCap) {
-		l, h := 1, shrinkLimitCap
-		for l < h {
-			m := l + (h-l)/2
-			if fails(crashAt, m) {
-				h = m
-			} else {
-				l = m + 1
-			}
-		}
+		l := int(smallestFailing(1, shrinkLimitCap, func(m int64) bool { return fails(crashAt, int(m)) }))
 		if fails(crashAt, l) {
 			limit = l
 		}

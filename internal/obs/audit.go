@@ -22,7 +22,7 @@ const (
 // event carries Seq/Time/Type/Shard; the remaining fields are populated
 // per type (JSON omits the empties):
 //
-//	crash    Point, Detail (mutations at risk)
+//	crash    Point, AtRisk, Detail
 //	restart  TxSet, Geometries, SlotsRolledBack, RestoreUS
 //	verify   Outcome ("ok"/"fail"), Err
 //	drain    Detail (signal / reason)
@@ -34,6 +34,7 @@ type AuditEvent struct {
 	Mode  string    `json:"mode,omitempty"`
 
 	Point           string  `json:"point,omitempty"`   // crash: pipeline crash point
+	AtRisk          int     `json:"at_risk,omitempty"` // crash: store slots the batch writes
 	TxSet           bool    `json:"tx_set"`            // restart: durable tx flag found set
 	Geometries      []int   `json:"geoms,omitempty"`   // restart: HCL log grids replayed
 	SlotsRolledBack int64   `json:"slots_rolled_back"` // restart: undo entries applied

@@ -5,8 +5,8 @@
 // /statusz, /debug/trace) that exposes all of it while a server runs.
 //
 // The package depends only on telemetry and the stdlib; it never imports
-// the serving or simulation layers. Hosts (gpmserve, the selftest harness,
-// gpmload's progress reporter) wire it in through plain values and
+// the serving or simulation layers. Hosts (gpmserve, the serve chaos
+// campaign, gpmload's progress reporter) wire it in through plain values and
 // closures, so obs stays reusable for any future front-end.
 package obs
 

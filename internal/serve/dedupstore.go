@@ -42,21 +42,28 @@ func dedupJnlBytes(maxBatch int) int64 {
 // jnlCountOff is the journal's count-word offset (past the entry region).
 func (s *Shard) jnlCountOff() uint64 { return uint64(mutCap(s.maxBatch)) * jnlEntryBytes }
 
-// dedupJournal writes the undo journal for the batch's dedup advances:
+// dedupJournal makes the undo journal describe the batch's dedup advances:
 // zero the count (so a torn journal is empty, not stale), persist the old
 // table values, then persist the count last. Called BEFORE the tx flag is
 // set — recovery only trusts the journal while the flag is up, and by then
-// the journal is complete by construction.
+// the journal is complete by construction. A batch with no advances still
+// owes a journal of count 0, or recovery would replay the last identified
+// batch's entries and roll back marks that batch committed; the zero is
+// written only when the durable count is nonzero (jnlDirty), so
+// unidentified-only traffic never touches the journal.
 func (s *Shard) dedupJournal(b *Batch) {
-	if s.noDedupPersist || len(b.DedupCID) == 0 {
+	n := len(b.DedupCID)
+	if s.noDedupPersist || (n == 0 && !s.jnlDirty) {
 		return
 	}
 	jnl := s.jnlFile.Mmap()
 	countAddr := jnl + s.jnlCountOff()
-	n := len(b.DedupCID)
 	s.env.Ctx.RunCPU("dedup-journal", 1, func(t *cpusim.Thread) {
 		t.WriteU64(countAddr, 0)
 		t.PersistRange(countAddr, 8)
+		if n == 0 {
+			return
+		}
 		for i, cid := range b.DedupCID {
 			slot := cid % dedupSlots
 			off := jnl + uint64(i)*jnlEntryBytes
@@ -68,18 +75,7 @@ func (s *Shard) dedupJournal(b *Batch) {
 		t.WriteU64(countAddr, uint64(n))
 		t.PersistRange(countAddr, 8)
 	})
-}
-
-// dedupJournalClear empties the journal count. Legacy crash-injection
-// paths (CrashAt/CrashMidBatch bypass apply's journal write) call it
-// before arming the tx flag so recovery cannot replay a stale journal
-// from an earlier committed batch.
-func (s *Shard) dedupJournalClear() {
-	countAddr := s.jnlFile.Mmap() + s.jnlCountOff()
-	s.env.Ctx.RunCPU("dedup-jclear", 1, func(t *cpusim.Thread) {
-		t.WriteU64(countAddr, 0)
-		t.PersistRange(countAddr, 8)
-	})
+	s.jnlDirty = n > 0
 }
 
 // dedupTableWrite persists the batch's dedup advances into the PM table.
@@ -149,13 +145,15 @@ func (s *Shard) dedupJournalRestore() {
 
 // dedupShadowReload rebuilds the host shadow from the durable PM table —
 // the restart-time proof that high-water marks really round-tripped
-// through persistent memory.
+// through persistent memory — and jnlDirty from the durable journal count.
 func (s *Shard) dedupShadowReload() {
 	snap := s.env.Ctx.Space.SnapshotPersistent(s.dedupFile.Mmap(), dedupTableBytes)
 	for i := 0; i < dedupSlots; i++ {
 		s.dedupShadow[i*2] = binary.LittleEndian.Uint64(snap[i*dedupEntryBytes:])
 		s.dedupShadow[i*2+1] = binary.LittleEndian.Uint64(snap[i*dedupEntryBytes+8:])
 	}
+	count := s.env.Ctx.Space.SnapshotPersistent(s.jnlFile.Mmap()+s.jnlCountOff(), 8)
+	s.jnlDirty = binary.LittleEndian.Uint64(count) != 0
 }
 
 // DedupSnapshot returns the committed per-client high-water marks (cid ->
@@ -267,26 +265,23 @@ func (e *ShardDownError) Error() string {
 }
 
 // crashNow executes a planned power failure: apply the fault model, mark
-// the shard down, remember the fired plan for recovery, and hand the
-// pipeline a ShardDownError.
-func (s *Shard) crashNow(cp *ShardCrashPlan, b *Batch, detail string) error {
+// the shard down, record the crash with the slots its batch put at risk,
+// and hand the pipeline a ShardDownError.
+func (s *Shard) crashNow(cp *ShardCrashPlan, atRisk int, detail string) error {
+	model := "clean"
 	if cp.Model != nil {
 		s.env.Ctx.CrashWith(cp.Model, cp.FaultSeed)
+		model = cp.Model.Name()
 	} else {
 		s.env.Ctx.Crash()
 	}
 	s.down = true
-	s.fired = cp
-	model := "clean"
-	if cp.Model != nil {
-		model = cp.Model.Name()
-	}
 	s.audit.Record(obs.AuditEvent{
 		Type: obs.AuditCrash, Shard: s.id, Mode: s.mode.String(),
 		Point:     cp.Point.String(),
+		AtRisk:    atRisk,
 		OracleHWM: s.oraShadow,
-		Detail: fmt.Sprintf("planned power failure (%s model): %s; %d mutations at risk",
-			model, detail, b.Mutations()),
+		Detail:    fmt.Sprintf("power failure (%s model): %s", model, detail),
 	})
 	return &ShardDownError{Point: cp.Point, Committed: cp.Point == CrashBeforeReply}
 }

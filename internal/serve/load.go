@@ -428,7 +428,6 @@ func driveConn(cfg LoadConfig, ci int, ops int64, prog *loadTracker, st *connSta
 	return nil
 }
 
-
 // newKeyGen builds the per-connection key stream for a normalized config:
 // uniform over [1, KeySpace], or scrambled zipfian for hot-key workloads.
 func newKeyGen(cfg LoadConfig, rng *sim.RNG) func() uint64 {

@@ -585,11 +585,11 @@ type slotStage struct {
 type epochBatch struct {
 	seq     uint64
 	batch   Batch
-	pending []*request          // ops riding this epoch, arrival order
-	getPos  []int               // per pending op: batch.GetKeys index; -1 mutation; -2 precomputed read
-	slots   map[int]*slotStage  // staged slot images (this epoch's writes)
-	read    map[int]bool        // slots this epoch batch-reads
-	clients map[uint64]bool     // cids whose epoch-order floor this epoch holds
+	pending []*request         // ops riding this epoch, arrival order
+	getPos  []int              // per pending op: batch.GetKeys index; -1 mutation; -2 precomputed read
+	slots   map[int]*slotStage // staged slot images (this epoch's writes)
+	read    map[int]bool       // slots this epoch batch-reads
+	clients map[uint64]bool    // cids whose epoch-order floor this epoch holds
 
 	// Filled by the applier, consumed by the batcher's onCommit:
 	replies []string          // reply line per pending op (dedup windowing)
@@ -600,8 +600,8 @@ type epochBatch struct {
 	// rolled-back crash flushes the staged pipeline and opens dedup holes.
 	committed bool
 
-	sealedAt   time.Time     // dispatch instant (epoch lag measures from here)
-	applyWall  time.Duration // wall cost of Apply, fed back to the controller
+	sealedAt  time.Time     // dispatch instant (epoch lag measures from here)
+	applyWall time.Duration // wall cost of Apply, fed back to the controller
 }
 
 // fillBuckets bounds the serve.shard*.batch_fill histograms (ops/epoch).

@@ -348,131 +348,56 @@ func TestServerDrainOnShutdown(t *testing.T) {
 }
 
 // The load generator end-to-end: a small closed-loop run with mixed ops
-// across shards, then drain and verify — the selftest path in miniature.
+// across shards, then drain and verify, under GPM and both CAP baselines —
+// every shard busy, and every client op answered exactly once, by a shard
+// or by the hot-key cache.
 func TestServerUnderLoad(t *testing.T) {
-	tel := telemetry.New()
-	srv, addr := startServer(t, Config{
-		Mode: workloads.GPM, Shards: 2, Sets: 256, MaxBatch: 64,
-		BatchWait: 200 * time.Microsecond, Workers: 1, Telemetry: tel,
-	})
-	res, err := RunLoad(LoadConfig{
-		Addr: addr, Conns: 4, Ops: 800, Window: 8,
-		GetFraction: 0.4, DelFraction: 0.1, KeySpace: 512, Seed: 1,
-	})
-	if err != nil {
-		t.Fatalf("RunLoad: %v", err)
-	}
-	srv.Shutdown(10 * time.Second)
+	for _, mode := range []workloads.Mode{workloads.GPM, workloads.CAPfs, workloads.CAPmm} {
+		t.Run(mode.String(), func(t *testing.T) {
+			tel := telemetry.New()
+			srv, addr := startServer(t, Config{
+				Mode: mode, Shards: 2, Sets: 256, MaxBatch: 64,
+				BatchWait: 200 * time.Microsecond, Workers: 1, Telemetry: tel,
+			})
+			res, err := RunLoad(LoadConfig{
+				Addr: addr, Conns: 4, Ops: 800, Window: 8,
+				GetFraction: 0.4, DelFraction: 0.1, KeySpace: 512, Seed: 1,
+			})
+			if err != nil {
+				t.Fatalf("RunLoad: %v", err)
+			}
+			srv.Shutdown(10 * time.Second)
 
-	if res.Ops != 800 {
-		t.Errorf("completed %d ops, want 800", res.Ops)
-	}
-	if res.Errors != 0 {
-		t.Errorf("%d errored replies", res.Errors)
-	}
-	if res.Throughput <= 0 || res.P50 <= 0 || res.P99 < res.P50 {
-		t.Errorf("implausible latency stats: tput=%g p50=%v p99=%v", res.Throughput, res.P50, res.P99)
-	}
-	var served int64
-	for _, sh := range srv.Shards() {
-		served += sh.Ops()
-		if sh.Ops() == 0 {
-			t.Errorf("shard %d idle — keyspace not spanning shards", sh.ID())
-		}
-		if err := sh.Verify(); err != nil {
-			t.Error(err)
-		}
-	}
-	reg := tel.Registry()
-	var cacheHits int64
-	for i := range srv.Shards() {
-		cacheHits += reg.Counter(fmt.Sprintf("serve.shard%d.cache_hits", i)).Value()
-	}
-	if served+cacheHits != res.Ops {
-		t.Errorf("shards served %d + %d cache hits, clients saw %d", served, cacheHits, res.Ops)
-	}
-	if b := tel.Registry().Counter("serve.shard0.batches").Value(); b < 1 {
-		t.Error("no batches recorded on shard 0")
-	}
-}
-
-// SelfTest is the smoke-test entry: GPM across 2 shards with
-// kill-and-recover must verify and report sane numbers.
-func TestSelfTestKillAndRecover(t *testing.T) {
-	rep, err := SelfTest(SelfTestOptions{
-		Modes:          []workloads.Mode{workloads.GPM},
-		ShardCounts:    []int{2},
-		Ops:            600,
-		Conns:          4,
-		Sets:           256,
-		MaxBatch:       64,
-		BatchWait:      200 * time.Microsecond,
-		Workers:        1,
-		Seed:           3,
-		KillAndRecover: true,
-	})
-	if err != nil {
-		t.Fatalf("SelfTest: %v", err)
-	}
-	if len(rep.Entries) != 1 {
-		t.Fatalf("%d entries, want 1", len(rep.Entries))
-	}
-	e := rep.Entries[0]
-	if !e.Verified || !e.Recovered {
-		t.Errorf("entry not verified/recovered: %+v", e)
-	}
-	if e.Ops != 600 {
-		t.Errorf("ops=%d, want 600", e.Ops)
-	}
-	if e.RecoverUS <= 0 {
-		t.Errorf("RecoverUS = %g, want > 0", e.RecoverUS)
-	}
-	if e.Batches < 1 || e.SimBatchUS <= 0 {
-		t.Errorf("batches=%d sim_batch_us=%g", e.Batches, e.SimBatchUS)
-	}
-	if e.MeanFill <= 0 {
-		t.Errorf("MeanFill = %g, want > 0", e.MeanFill)
-	}
-	// Every between-stage crash point must have been exercised.
-	seen := make(map[string]bool)
-	for _, p := range e.CrashPoints {
-		seen[p] = true
-	}
-	for _, p := range CrashPoints() {
-		if !seen[p.String()] {
-			t.Errorf("crash point %s not exercised (got %v)", p, e.CrashPoints)
-		}
-	}
-}
-
-// The zipfian selftest: hot keys drive conflict chains and cache hits, and
-// kill-and-recover still verifies under skew.
-func TestSelfTestZipf(t *testing.T) {
-	rep, err := SelfTest(SelfTestOptions{
-		Modes:          []workloads.Mode{workloads.GPM},
-		ShardCounts:    []int{2},
-		Ops:            600,
-		Conns:          4,
-		Sets:           256,
-		MaxBatch:       64,
-		BatchWait:      200 * time.Microsecond,
-		Workers:        1,
-		Seed:           3,
-		Dist:           DistZipf,
-		Theta:          0.99,
-		KillAndRecover: true,
-	})
-	if err != nil {
-		t.Fatalf("SelfTest: %v", err)
-	}
-	if rep.Dist != DistZipf || rep.Theta != 0.99 {
-		t.Errorf("report dist/theta = %s/%g, want zipf/0.99", rep.Dist, rep.Theta)
-	}
-	e := rep.Entries[0]
-	if !e.Verified || !e.Recovered {
-		t.Errorf("entry not verified/recovered: %+v", e)
-	}
-	if e.CacheHits < 1 {
-		t.Errorf("cache_hits = %d, want >= 1 under zipfian skew", e.CacheHits)
+			if res.Ops != 800 {
+				t.Errorf("completed %d ops, want 800", res.Ops)
+			}
+			if res.Errors != 0 {
+				t.Errorf("%d errored replies", res.Errors)
+			}
+			if res.Throughput <= 0 || res.P50 <= 0 || res.P99 < res.P50 {
+				t.Errorf("implausible latency stats: tput=%g p50=%v p99=%v", res.Throughput, res.P50, res.P99)
+			}
+			var served int64
+			for _, sh := range srv.Shards() {
+				served += sh.Ops()
+				if sh.Ops() == 0 {
+					t.Errorf("shard %d idle — keyspace not spanning shards", sh.ID())
+				}
+				if err := sh.Verify(); err != nil {
+					t.Error(err)
+				}
+			}
+			reg := tel.Registry()
+			var cacheHits int64
+			for i := range srv.Shards() {
+				cacheHits += reg.Counter(fmt.Sprintf("serve.shard%d.cache_hits", i)).Value()
+			}
+			if served+cacheHits != res.Ops {
+				t.Errorf("shards served %d + %d cache hits, clients saw %d", served, cacheHits, res.Ops)
+			}
+			if b := reg.Counter("serve.shard0.batches").Value(); b < 1 {
+				t.Error("no batches recorded on shard 0")
+			}
+		})
 	}
 }

@@ -15,6 +15,7 @@ package serve
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"strings"
 	"sync/atomic"
@@ -151,6 +152,7 @@ type Shard struct {
 	dedupShadow    []uint64
 	tally          map[ReqID]int
 	noDedupPersist bool // negative control: dedup state never reaches PM
+	jnlDirty       bool // durable dedup-journal count may be nonzero
 
 	// oraShadow mirrors the durable oracle reservation; mvcc is the
 	// committed multi-version view the snapshot-read and conflict-check
@@ -672,6 +674,20 @@ func (s *Shard) commitModel(b *Batch) {
 	}
 }
 
+// slotWrites counts the store slots b's mutate kernels write — every SET,
+// and every DEL whose key is present — which is the number of undo entries
+// a fully logged b leaves behind. Valid only before b commits: it reads the
+// committed oracle, which matches the mirror the kernels probe.
+func (s *Shard) slotWrites(b *Batch) int {
+	n := len(b.SetKeys)
+	for _, key := range b.DelKeys {
+		if s.model[s.SlotOf(key)*2] == key {
+			n++
+		}
+	}
+	return n
+}
+
 // Apply executes one batch as a transaction and returns the GET results.
 // On return the batch's mutations are durable (the response path includes
 // the mode's persistence step), so the caller may acknowledge clients. If
@@ -689,13 +705,15 @@ func (s *Shard) Apply(b *Batch) (*BatchResult, error) {
 		s.applyCount++
 		if s.applyCount >= s.plan.ApplyIndex {
 			cp, s.plan = s.plan, nil
+			s.fired = cp
 		}
 	}
 	return s.apply(b, cp)
 }
 
 // apply is the batch transaction body, with the crash plan's power-fail
-// checkpoints woven between pipeline stages (cp nil = no injection).
+// checkpoints woven between pipeline stages (cp nil = no injection). It is
+// the only code path that power-fails a shard inside a batch.
 func (s *Shard) apply(b *Batch, cp *ShardCrashPlan) (*BatchResult, error) {
 	n := b.Ops()
 	if n == 0 {
@@ -703,6 +721,10 @@ func (s *Shard) apply(b *Batch, cp *ShardCrashPlan) (*BatchResult, error) {
 		// whose riders are all precomputed snapshot reads. Tally them.
 		s.ops += int64(b.LogicalOps)
 		return &BatchResult{}, nil
+	}
+	var atRisk int
+	if cp != nil {
+		atRisk = s.slotWrites(b)
 	}
 	ctx := s.env.Ctx
 	start := ctx.Timeline.Total()
@@ -723,7 +745,7 @@ func (s *Shard) apply(b *Batch, cp *ShardCrashPlan) (*BatchResult, error) {
 		s.setTxFlag(true)
 	}
 	if cp != nil && cp.Point == CrashBeforeKernel {
-		return nil, s.crashNow(cp, b, "staged and armed, before mutate kernel")
+		return nil, s.crashNow(cp, atRisk, "staged and armed, before mutate kernel")
 	}
 	s.env.PersistKernelBegin()
 	if cp != nil && cp.Point == CrashMidKernel {
@@ -735,7 +757,7 @@ func (s *Shard) apply(b *Batch, cp *ShardCrashPlan) (*BatchResult, error) {
 	if cp != nil && cp.Point == CrashMidKernel {
 		ctx.Dev.SetAbortCheck(nil)
 		s.env.PersistKernelEnd()
-		return nil, s.crashNow(cp, b, fmt.Sprintf("kernel aborted after %d device ops", cp.AbortAfterOps))
+		return nil, s.crashNow(cp, atRisk, fmt.Sprintf("kernel aborted after %d device ops", cp.AbortAfterOps))
 	}
 	if errSet != nil {
 		return nil, errSet
@@ -751,7 +773,7 @@ func (s *Shard) apply(b *Batch, cp *ShardCrashPlan) (*BatchResult, error) {
 		s.oracleWrite(b)
 	}
 	if cp != nil && cp.Point == CrashBeforeCommit {
-		return nil, s.crashNow(cp, b, "mutations persisted, before log clear")
+		return nil, s.crashNow(cp, atRisk, "mutations persisted, before log clear")
 	}
 	wall2 := time.Now()
 
@@ -782,7 +804,7 @@ func (s *Shard) apply(b *Batch, cp *ShardCrashPlan) (*BatchResult, error) {
 		s.ops += int64(n)
 	}
 	if cp != nil && cp.Point == CrashBeforeReply {
-		return nil, s.crashNow(cp, b, "batch committed durably, acks lost")
+		return nil, s.crashNow(cp, atRisk, "batch committed durably, acks lost")
 	}
 	return &BatchResult{
 		GetVals: out, SimTime: s.env.Ctx.Timeline.Total() - start, Ops: n,
@@ -790,49 +812,6 @@ func (s *Shard) apply(b *Batch, cp *ShardCrashPlan) (*BatchResult, error) {
 		WallKernel:  wall2.Sub(wall1),
 		WallPersist: wall3.Sub(wall2),
 	}, nil
-}
-
-// CrashMidBatch starts applying b, aborts the mutation kernel after
-// abortAfterOps device operations, and power-fails the node — the §6.2
-// worst case of dying inside an uncommitted transaction. The batch is NOT
-// acknowledged (the oracle ignores it); Restart must undo its partial
-// effects. Only GPM-class logging modes support mid-batch crashes.
-func (s *Shard) CrashMidBatch(b *Batch, abortAfterOps int64) error {
-	if !s.mode.UsesGPM() {
-		return fmt.Errorf("serve: mid-batch crash requires a GPM mode, shard runs %s", s.mode)
-	}
-	if s.down {
-		return fmt.Errorf("serve: shard %d already down", s.id)
-	}
-	if err := s.checkBatch(b); err != nil {
-		return err
-	}
-	if b.Mutations() == 0 {
-		return fmt.Errorf("serve: mid-batch crash needs mutations to abort")
-	}
-	s.stage(b)
-	s.dedupJournalClear()
-	s.setTxFlag(true)
-	s.env.PersistKernelBegin()
-	s.env.Ctx.Dev.SetAbortCheck(func(op int64) bool { return op >= abortAfterOps })
-	err := s.mutateKernel("kvs-set", s.keysB, s.valsB, len(b.SetKeys), false, true)
-	if err == nil {
-		err = s.mutateKernel("kvs-del", s.delsB, 0, len(b.DelKeys), true, true)
-	}
-	s.env.Ctx.Dev.SetAbortCheck(nil)
-	s.env.PersistKernelEnd()
-	if err != nil {
-		return err
-	}
-	s.env.Ctx.Crash()
-	s.down = true
-	s.audit.Record(obs.AuditEvent{
-		Type: obs.AuditCrash, Shard: s.id, Mode: s.mode.String(),
-		Point:     CrashMidKernel.String(),
-		OracleHWM: s.oraShadow,
-		Detail:    fmt.Sprintf("%d mutations at risk, kernel aborted after %d device ops", b.Mutations(), abortAfterOps),
-	})
-	return nil
 }
 
 // CrashPoint names a power-fail instant relative to the pipeline stages a
@@ -880,21 +859,27 @@ func (p CrashPoint) String() string {
 	}
 }
 
+// RecoveryCrashPoint is the audit Point of a nested power failure injected
+// during recovery replay (RestartWithRecrash).
+const RecoveryCrashPoint = "mid-recovery"
+
 // CrashAt power-fails the shard at the given pipeline point while applying
 // b. For every point except CrashBeforeReply the batch is NOT acknowledged
 // (the oracle ignores it) and Restart must erase its effects; at
 // CrashBeforeReply the batch is durable and counts as committed. Only
 // GPM-class logging modes support crash injection (abortAfterOps bounds
-// the device ops of a mid-kernel crash).
+// the device ops of a mid-kernel crash). The crash runs through apply with
+// a one-shot plan, so it is the same path an armed ShardCrashPlan takes; it
+// does not count as a fired plan.
 func (s *Shard) CrashAt(b *Batch, p CrashPoint, abortAfterOps int64) error {
-	if p == CrashMidKernel {
-		return s.CrashMidBatch(b, abortAfterOps)
-	}
 	if !s.mode.UsesGPM() {
 		return fmt.Errorf("serve: crash injection requires a GPM mode, shard runs %s", s.mode)
 	}
 	if s.down {
 		return fmt.Errorf("serve: shard %d already down", s.id)
+	}
+	if p < CrashBeforeKernel || p > CrashBeforeReply {
+		return fmt.Errorf("serve: unknown crash point %d", int(p))
 	}
 	if err := s.checkBatch(b); err != nil {
 		return err
@@ -902,40 +887,12 @@ func (s *Shard) CrashAt(b *Batch, p CrashPoint, abortAfterOps int64) error {
 	if b.Mutations() == 0 {
 		return fmt.Errorf("serve: crash injection needs mutations to lose")
 	}
-	switch p {
-	case CrashBeforeKernel:
-		s.stage(b)
-		s.dedupJournalClear()
-		s.setTxFlag(true)
-	case CrashBeforeCommit:
-		s.stage(b)
-		s.dedupJournalClear()
-		s.setTxFlag(true)
-		s.env.PersistKernelBegin()
-		err := s.mutateKernel("kvs-set", s.keysB, s.valsB, len(b.SetKeys), false, true)
-		if err == nil {
-			err = s.mutateKernel("kvs-del", s.delsB, 0, len(b.DelKeys), true, true)
-		}
-		s.env.PersistKernelEnd()
-		if err != nil {
-			return err
-		}
-	case CrashBeforeReply:
-		if _, err := s.Apply(b); err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("serve: unknown crash point %d", int(p))
+	_, err := s.apply(b, &ShardCrashPlan{Point: p, AbortAfterOps: abortAfterOps})
+	var down *ShardDownError
+	if errors.As(err, &down) {
+		return nil
 	}
-	s.env.Ctx.Crash()
-	s.down = true
-	s.audit.Record(obs.AuditEvent{
-		Type: obs.AuditCrash, Shard: s.id, Mode: s.mode.String(),
-		Point:     p.String(),
-		OracleHWM: s.oraShadow,
-		Detail:    fmt.Sprintf("%d mutations at risk", b.Mutations()),
-	})
-	return nil
+	return err
 }
 
 // Restart brings a crashed shard back: if the durable transaction flag is
@@ -973,7 +930,7 @@ func (s *Shard) RestartWithRecrash(depth int, model pmem.FaultModel, fseed uint6
 			recrashes++
 			s.audit.Record(obs.AuditEvent{
 				Type: obs.AuditCrash, Shard: s.id, Mode: s.mode.String(),
-				Point:  "mid-recovery",
+				Point:  RecoveryCrashPoint,
 				Detail: fmt.Sprintf("re-crash %d during recovery replay (budget %d device ops)", recrashes, budget),
 			})
 		}

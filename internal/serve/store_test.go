@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -123,12 +124,12 @@ func TestShardCrashRecoverRestart(t *testing.T) {
 
 			// Die inside the next batch: overwrites of committed keys plus
 			// fresh inserts, none acknowledged.
-			err := sh.CrashMidBatch(&Batch{
+			err := sh.CrashAt(&Batch{
 				SetKeys: []uint64{1, 2, 50, 51},
 				SetVals: []uint64{111, 222, 500, 510},
-			}, 3)
+			}, CrashMidKernel, 3)
 			if err != nil {
-				t.Fatalf("CrashMidBatch: %v", err)
+				t.Fatalf("CrashAt(mid-kernel): %v", err)
 			}
 			if _, err := sh.Apply(&Batch{GetKeys: []uint64{1}}); err == nil {
 				t.Fatal("Apply on a down shard should fail")
@@ -232,6 +233,35 @@ func TestShardCrashAtRejections(t *testing.T) {
 	}
 }
 
+// Recovery only trusts a dedup journal written by the transaction it rolls
+// back: after an identified batch commits a client's high-water mark, a
+// crashed batch with no request IDs must roll back to that mark, not
+// replay the committed batch's journal and erase it.
+func TestUnidentifiedCrashKeepsCommittedMarks(t *testing.T) {
+	sh := quickShard(t, workloads.GPM)
+	if _, err := sh.Apply(&Batch{
+		SetKeys: []uint64{1}, SetVals: []uint64{10}, SetIDs: []ReqID{{CID: 5, Seq: 3}},
+		DedupCID: []uint64{5}, DedupSeq: []uint64{3},
+	}); err != nil {
+		t.Fatalf("identified batch: %v", err)
+	}
+	sh.SetCrashPlan(&ShardCrashPlan{ApplyIndex: 1, Point: CrashBeforeCommit})
+	_, err := sh.Apply(&Batch{SetKeys: []uint64{2}, SetVals: []uint64{20}})
+	var down *ShardDownError
+	if !errors.As(err, &down) {
+		t.Fatalf("unidentified batch: err = %v, want a planned power failure", err)
+	}
+	if err := sh.RecoverFromPlan(); err != nil {
+		t.Fatalf("RecoverFromPlan: %v", err)
+	}
+	if got := sh.DedupSnapshot()[5]; got != 3 {
+		t.Errorf("client 5 high-water mark = %d after recovery, want 3 (committed)", got)
+	}
+	if err := sh.Verify(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // A crash outside any transaction (tx flag clear) must restart cleanly
 // with no undo work.
 func TestShardCrashBetweenBatches(t *testing.T) {
@@ -262,7 +292,7 @@ func TestShardRejectsUnservableModes(t *testing.T) {
 	}
 	// CAP modes cannot crash mid-batch (no in-kernel persistence to log).
 	sh := quickShard(t, workloads.CAPmm)
-	if err := sh.CrashMidBatch(&Batch{SetKeys: []uint64{1}, SetVals: []uint64{1}}, 1); err == nil {
-		t.Error("CrashMidBatch under CAP-mm should fail")
+	if err := sh.CrashAt(&Batch{SetKeys: []uint64{1}, SetVals: []uint64{1}}, CrashMidKernel, 1); err == nil {
+		t.Error("mid-kernel CrashAt under CAP-mm should fail")
 	}
 }

@@ -445,57 +445,73 @@ func TestTxnGCWatermarkSafety(t *testing.T) {
 }
 
 // RunTxnLoad's ledger matches the durable store: every key's final count
-// equals its committed increments (no crashes, so nothing unresolved).
+// equals its committed increments (no crashes, so nothing unresolved) —
+// over a uniform keyspace, and over a small zipf-hot one (theta 0.99)
+// where conflicting writers are the common case, not the tail.
 func TestRunTxnLoadLedger(t *testing.T) {
-	tel := telemetry.New()
-	srv, addr := startServer(t, Config{
-		Mode: workloads.GPM, Shards: 2, Sets: 256, MaxBatch: 32,
-		BatchWait: 200 * time.Microsecond, Workers: 1, Telemetry: tel,
-	})
-	res, err := RunTxnLoad(TxnLoadConfig{
-		Addr: addr, Conns: 3, Txns: 90, TxnSize: 3,
-		KeyBase: 1000, KeySpace: 64, Seed: 7, Retry: true,
-	})
-	if err != nil {
-		t.Fatalf("RunTxnLoad: %v", err)
-	}
-	if res.Txns+res.AbortedForGood != 90 {
-		t.Errorf("resolved %d committed + %d dropped, want 90 total", res.Txns, res.AbortedForGood)
-	}
-	if res.GaveUp != 0 || res.Errors != 0 || len(res.Failures) != 0 {
-		t.Errorf("gaveUp=%d errors=%d failures=%v, want clean run", res.GaveUp, res.Errors, res.Failures)
-	}
-	if res.ReadAnomalies != 0 {
-		t.Errorf("%d repeatable-read anomalies inside snapshots", res.ReadAnomalies)
-	}
-	if res.Shards != 2 {
-		t.Errorf("negotiated shard count %d, want 2", res.Shards)
-	}
+	for _, tc := range []struct {
+		name     string
+		size     int
+		keySpace uint64
+		dist     string
+		theta    float64
+	}{
+		{"uniform", 3, 64, DistUniform, 0},
+		{"zipf-hot", 2, 16, DistZipf, 0.99},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tel := telemetry.New()
+			srv, addr := startServer(t, Config{
+				Mode: workloads.GPM, Shards: 2, Sets: 256, MaxBatch: 32,
+				BatchWait: 200 * time.Microsecond, Workers: 1, Telemetry: tel,
+			})
+			res, err := RunTxnLoad(TxnLoadConfig{
+				Addr: addr, Conns: 3, Txns: 90, TxnSize: tc.size,
+				KeyBase: 1000, KeySpace: tc.keySpace, Dist: tc.dist, Theta: tc.theta,
+				Seed: 7, Retry: true,
+			})
+			if err != nil {
+				t.Fatalf("RunTxnLoad: %v", err)
+			}
+			if res.Txns == 0 || res.Txns+res.AbortedForGood != 90 {
+				t.Errorf("resolved %d committed + %d dropped, want 90 total, some committed", res.Txns, res.AbortedForGood)
+			}
+			if res.GaveUp != 0 || res.Errors != 0 || len(res.Failures) != 0 {
+				t.Errorf("gaveUp=%d errors=%d failures=%v, want clean run", res.GaveUp, res.Errors, res.Failures)
+			}
+			if res.ReadAnomalies != 0 {
+				t.Errorf("%d repeatable-read anomalies inside snapshots", res.ReadAnomalies)
+			}
+			if res.Shards != 2 {
+				t.Errorf("negotiated shard count %d, want 2", res.Shards)
+			}
 
-	// Durable counts must equal the committed ledger exactly.
-	br, c := dial(t, addr)
-	defer c.Close()
-	rt := func(req string) string { return roundTrip(t, c, br, req) }
-	for k, n := range res.Committed {
-		want := "VALUE " + strconv.FormatInt(n, 10)
-		if got := rt(fmt.Sprintf("GET %d", k)); got != want {
-			t.Errorf("key %d: durable %q, ledger wants %q", k, got, want)
-		}
-	}
-	c.Close()
-	srv.Shutdown(5 * time.Second)
+			// Durable counts must equal the committed ledger exactly.
+			br, c := dial(t, addr)
+			defer c.Close()
+			rt := func(req string) string { return roundTrip(t, c, br, req) }
+			for k, n := range res.Committed {
+				want := "VALUE " + strconv.FormatInt(n, 10)
+				if got := rt(fmt.Sprintf("GET %d", k)); got != want {
+					t.Errorf("key %d: durable %q, ledger wants %q", k, got, want)
+				}
+			}
+			c.Close()
+			srv.Shutdown(5 * time.Second)
 
-	reg := tel.Registry()
-	var commits, aborts int64
-	for i := 0; i < 2; i++ {
-		commits += reg.Counter(fmt.Sprintf("serve.shard%d.txn_commits", i)).Value()
-		aborts += reg.Counter(fmt.Sprintf("serve.shard%d.txn_aborts", i)).Value()
+			reg := tel.Registry()
+			var commits, aborts int64
+			for i := 0; i < 2; i++ {
+				commits += reg.Counter(fmt.Sprintf("serve.shard%d.txn_commits", i)).Value()
+				aborts += reg.Counter(fmt.Sprintf("serve.shard%d.txn_aborts", i)).Value()
+			}
+			if commits != res.Txns {
+				t.Errorf("server counted %d txn commits, clients %d", commits, res.Txns)
+			}
+			if aborts != res.Aborts {
+				t.Errorf("server counted %d txn aborts, clients %d", aborts, res.Aborts)
+			}
+			assertExactlyOnce(t, srv)
+		})
 	}
-	if commits != res.Txns {
-		t.Errorf("server counted %d txn commits, clients %d", commits, res.Txns)
-	}
-	if aborts != res.Aborts {
-		t.Errorf("server counted %d txn aborts, clients %d", aborts, res.Aborts)
-	}
-	assertExactlyOnce(t, srv)
 }

@@ -98,17 +98,17 @@ func (c *TxnLoadConfig) Normalize() error {
 // committed transactions only, BEGIN through COMMIT verdict, including
 // conflict re-runs.
 type TxnLoadResult struct {
-	Txns            int64 `json:"txns"`              // committed transactions
-	Aborts          int64 `json:"aborts"`            // commit attempts that lost validation
-	ConflictRetries int64 `json:"conflict_retries"`  // re-runs after an abort
-	AbortedForGood  int64 `json:"aborted_for_good"`  // transactions dropped after MaxAttempts conflicts
-	GaveUp          int64 `json:"gave_up"`           // commits with UNKNOWN outcome (transport budget spent)
-	SnapshotsLost   int64 `json:"snapshots_lost"`    // snapshots invalidated mid-txn (crash-restart); re-run
-	ReadAnomalies   int64 `json:"read_anomalies"`    // repeatable-read violations observed in-txn
-	Errors          int64 `json:"errors"`            // ERR verdicts and per-txn failures
-	Retries         int64 `json:"retries"`           // transport resends
-	Reconnects      int64 `json:"reconnects"`        // transport reconnects
-	Shards          int   `json:"shards"`            // server shard count (HELLO)
+	Txns            int64    `json:"txns"`               // committed transactions
+	Aborts          int64    `json:"aborts"`             // commit attempts that lost validation
+	ConflictRetries int64    `json:"conflict_retries"`   // re-runs after an abort
+	AbortedForGood  int64    `json:"aborted_for_good"`   // transactions dropped after MaxAttempts conflicts
+	GaveUp          int64    `json:"gave_up"`            // commits with UNKNOWN outcome (transport budget spent)
+	SnapshotsLost   int64    `json:"snapshots_lost"`     // snapshots invalidated mid-txn (crash-restart); re-run
+	ReadAnomalies   int64    `json:"read_anomalies"`     // repeatable-read violations observed in-txn
+	Errors          int64    `json:"errors"`             // ERR verdicts and per-txn failures
+	Retries         int64    `json:"retries"`            // transport resends
+	Reconnects      int64    `json:"reconnects"`         // transport reconnects
+	Shards          int      `json:"shards"`             // server shard count (HELLO)
 	Failures        []string `json:"failures,omitempty"` // fatal per-worker errors
 
 	// Committed[k] counts increments known committed on key k; Unresolved[k]
