@@ -173,9 +173,10 @@ func sweep(c *crash.ServeCampaign, shrink, asJSON bool) int {
 	} else {
 		fired, notReached := 0, 0
 		for _, r := range rep.Runs {
-			switch r.Verdict {
-			case crash.ServeVerdictOK:
+			if r.PlanFired {
 				fired++
+			}
+			switch r.Verdict {
 			case crash.ServeVerdictNotReached:
 				notReached++
 			case crash.ServeVerdictFail:

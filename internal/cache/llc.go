@@ -20,7 +20,8 @@
 package cache
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 
 	"github.com/gpm-sim/gpm/internal/pmem"
@@ -35,6 +36,8 @@ type Domain struct {
 
 	mu       sync.Mutex
 	events   []domainEvent
+	lineBuf  []uint64          // the buffered events' lines, back to back
+	persist  []persistReq      // drain scratch
 	resident map[uint64]uint64 // line -> generation
 	queue    []fifoEntry
 	capLines int
@@ -58,10 +61,12 @@ func (d *Domain) AttachTelemetry(r *telemetry.Registry) {
 	d.telResident = r.Gauge("llc.resident_lines")
 }
 
+// domainEvent is one buffered cache fill or flush; its lines are
+// lineBuf[off:off+n].
 type domainEvent struct {
-	flush bool
-	lines []uint64
-	seq   uint64
+	flush  bool
+	off, n int
+	seq    uint64
 }
 
 type fifoEntry struct {
@@ -100,26 +105,22 @@ func (d *Domain) EADR() bool {
 
 // CacheLines records that the given dirty PM lines became cache-resident by
 // the write with canonical sequence seq. The event is buffered; Drain
-// applies it. The domain takes ownership of lines.
-func (d *Domain) CacheLines(lines []uint64, seq uint64) {
-	if len(lines) == 0 {
-		return
-	}
-	d.mu.Lock()
-	d.events = append(d.events, domainEvent{flush: false, lines: lines, seq: seq})
-	d.mu.Unlock()
-}
+// applies it. The lines are copied, so callers may reuse the slice.
+func (d *Domain) CacheLines(lines []uint64, seq uint64) { d.buffer(false, lines, seq) }
 
 // FlushLines records a CLFLUSHOPT of the given lines at canonical sequence
 // seq: when drained, they leave the cache and persist — unless a line was
 // re-dirtied by a write that canonically follows the flush, in which case it
-// stays dirty. The domain takes ownership of lines.
-func (d *Domain) FlushLines(lines []uint64, seq uint64) {
+// stays dirty. The lines are copied, so callers may reuse the slice.
+func (d *Domain) FlushLines(lines []uint64, seq uint64) { d.buffer(true, lines, seq) }
+
+func (d *Domain) buffer(flush bool, lines []uint64, seq uint64) {
 	if len(lines) == 0 {
 		return
 	}
 	d.mu.Lock()
-	d.events = append(d.events, domainEvent{flush: true, lines: lines, seq: seq})
+	d.events = append(d.events, domainEvent{flush: flush, off: len(d.lineBuf), n: len(lines), seq: seq})
+	d.lineBuf = append(d.lineBuf, lines...)
 	d.mu.Unlock()
 }
 
@@ -138,33 +139,33 @@ func (d *Domain) drainLocked() {
 		return
 	}
 	events := d.events
-	d.events = nil
-	// Canonical sequences are unique per access; SliceStable keeps the
+	// Canonical sequences are unique per access; a stable sort keeps the
 	// replay deterministic even if a caller ever reused one.
-	sort.SliceStable(events, func(i, j int) bool { return events[i].seq < events[j].seq })
+	slices.SortStableFunc(events, func(a, b domainEvent) int { return cmp.Compare(a.seq, b.seq) })
 
-	var persisted []persistReq
+	persisted := d.persist[:0]
 	var evictedNow, flushedNow int64
 	for _, ev := range events {
+		lines := d.lineBuf[ev.off : ev.off+ev.n]
 		if ev.flush {
-			for _, la := range ev.lines {
+			for _, la := range lines {
 				delete(d.resident, la)
 				persisted = append(persisted, persistReq{la, ev.seq})
 			}
-			d.flushed += int64(len(ev.lines))
-			flushedNow += int64(len(ev.lines))
+			d.flushed += int64(len(lines))
+			flushedNow += int64(len(lines))
 			continue
 		}
 		if d.eADR {
 			// Inside the persistence domain: the write is durable the
 			// instant it is cached. The seq guard keeps canonically
 			// later (still-buffered) writes to the same line dirty.
-			for _, la := range ev.lines {
+			for _, la := range lines {
 				persisted = append(persisted, persistReq{la, ev.seq})
 			}
 			continue
 		}
-		for _, la := range ev.lines {
+		for _, la := range lines {
 			d.gen++
 			d.resident[la] = d.gen
 			d.queue = append(d.queue, fifoEntry{la, d.gen})
@@ -180,12 +181,14 @@ func (d *Domain) drainLocked() {
 			}
 		}
 	}
+	d.events, d.lineBuf = events[:0], d.lineBuf[:0]
 	d.telEvictions.Add(evictedNow)
 	d.telFlushed.Add(flushedNow)
 	d.telResident.Set(int64(len(d.resident)))
 	for _, pr := range persisted {
 		d.dev.PersistLineBefore(pr.line, pr.seq)
 	}
+	d.persist = persisted[:0]
 }
 
 type persistReq struct {
@@ -209,7 +212,7 @@ func (d *Domain) FlushAll() {
 	d.telFlushed.Add(int64(len(lines)))
 	d.telResident.Set(0)
 	// Deterministic write-back order for the fault models downstream.
-	sort.Slice(lines, func(i, j int) bool { return lines[i] < lines[j] })
+	slices.Sort(lines)
 	d.dev.PersistLines(lines)
 }
 

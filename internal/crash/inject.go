@@ -125,6 +125,7 @@ func CountOps(w workloads.Crasher, mode workloads.Mode, cfg workloads.Config) (i
 		return 0, fmt.Errorf("workloads: %s does not support %s", w.Name(), mode)
 	}
 	env := workloads.NewEnv(mode, cfg)
+	defer env.Ctx.Space.Release()
 	if err := w.Setup(env); err != nil {
 		return 0, err
 	}

@@ -148,6 +148,7 @@ type ServeRunRecord struct {
 	Retries    int64 `json:"retries"`
 	Reconnects int64 `json:"reconnects"`
 	Restarts   int64 `json:"restarts"`   // shard crash-recovery cycles
+	PlanFired  bool  `json:"plan_fired"` // the armed crash plan triggered
 	NetResets  int64 `json:"net_resets"` // injected connection resets
 	NetDups    int64 `json:"net_dups"`   // injected duplicate lines
 
@@ -400,7 +401,7 @@ func (c *ServeCampaign) runOne(d serveDesc) ServeRunRecord {
 		rec.Retries += tres.Retries
 		rec.Reconnects += tres.Reconnects
 	}
-	rec.Restarts = srv.Status()[0].Restarts
+	rec.Restarts, rec.PlanFired = sh.Restarts(), sh.PlanFired()
 	st := dialer.Stats()
 	rec.NetResets, rec.NetDups = st.Resets(), st.Dups()
 
@@ -422,7 +423,7 @@ func (c *ServeCampaign) runOne(d serveDesc) ServeRunRecord {
 		probs = append(probs, fmt.Sprintf("store verify: %v", err))
 	}
 	var injected []crashRound
-	if sh.PlanFired() {
+	if rec.PlanFired {
 		injected = []crashRound{{shard: sh.ID(), point: d.point}}
 	}
 	if err := verifyAuditTrail(audit.Events(), injected); err != nil {
@@ -439,7 +440,7 @@ func (c *ServeCampaign) runOne(d serveDesc) ServeRunRecord {
 	if len(probs) > 0 {
 		return fail("%s", strings.Join(probs, "; "))
 	}
-	if !sh.PlanFired() {
+	if !rec.PlanFired {
 		rec.Verdict = ServeVerdictNotReached
 	} else {
 		rec.Verdict = ServeVerdictOK

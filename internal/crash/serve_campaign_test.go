@@ -36,8 +36,20 @@ func TestServeCampaignDefaultSweepHolds(t *testing.T) {
 	}
 	fired := 0
 	for _, r := range rep.Runs {
-		if r.Verdict == ServeVerdictOK {
+		// Every fired plan power-fails the shard once and the server
+		// recovers it once; telemetry is off, so this is the shard's count.
+		want := int64(0)
+		if r.PlanFired {
 			fired++
+			want = 1
+		}
+		if r.Restarts != want {
+			t.Errorf("%s/%s/%s/%s@%d: plan fired %v but %d restarts",
+				r.Mode, r.Schedule, r.Model, r.Point, r.ApplyIndex, r.PlanFired, r.Restarts)
+		}
+		if (r.Verdict == ServeVerdictOK) != r.PlanFired && r.Verdict != ServeVerdictFail {
+			t.Errorf("%s/%s/%s/%s@%d: verdict %s with plan fired %v",
+				r.Mode, r.Schedule, r.Model, r.Point, r.ApplyIndex, r.Verdict, r.PlanFired)
 		}
 	}
 	if fired < len(rep.Runs)*3/4 {

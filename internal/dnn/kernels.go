@@ -29,14 +29,6 @@ func f32sOf(buf []byte) []float32 {
 	return out
 }
 
-// loadRow loads n contiguous float32s starting at addr (one wide memory
-// operation, like a vectorized row fetch).
-func loadRow(t *gpu.Thread, addr uint64, n int) []float32 {
-	buf := make([]byte, n*4)
-	t.LoadBytes(addr, buf)
-	return f32sOf(buf)
-}
-
 const dnnTPB = 128
 
 func gridFor(n int) (blocks, tpb int) {
@@ -57,8 +49,8 @@ func (d *DNN) forward1(env *workloads.Env, b0 int) {
 			return
 		}
 		b, j := id/d.hidden, id%d.hidden
-		row := loadRow(t, d.wBlock+uint64(j*d.inputs)*4, d.inputs)
-		xv := loadRow(t, d.x+uint64((b0+b)*d.inputs)*4, d.inputs)
+		row := t.LoadF32s(0, d.wBlock+uint64(j*d.inputs)*4, d.inputs)
+		xv := t.LoadF32s(1, d.x+uint64((b0+b)*d.inputs)*4, d.inputs)
 		acc := t.LoadF32(d.wBlock + uint64(d.b1Off()+j)*4)
 		for i := range row {
 			acc += row[i] * xv[i]
@@ -81,8 +73,8 @@ func (d *DNN) forward2(env *workloads.Env) {
 			return
 		}
 		b, c := id/d.classes, id%d.classes
-		w := loadRow(t, d.wBlock+uint64(d.w2Off()+c*d.hidden)*4, d.hidden)
-		h := loadRow(t, d.hid+uint64(b*d.hidden)*4, d.hidden)
+		w := t.LoadF32s(0, d.wBlock+uint64(d.w2Off()+c*d.hidden)*4, d.hidden)
+		h := t.LoadF32s(1, d.hid+uint64(b*d.hidden)*4, d.hidden)
 		acc := t.LoadF32(d.wBlock + uint64(d.b2Off()+c)*4)
 		for j := range w {
 			acc += w[j] * h[j]
@@ -100,7 +92,7 @@ func (d *DNN) gradKernel(env *workloads.Env, b0 int) {
 		if b >= d.batch {
 			return
 		}
-		lg := loadRow(t, d.logits+uint64(b*d.classes)*4, d.classes)
+		lg := t.LoadF32s(0, d.logits+uint64(b*d.classes)*4, d.classes)
 		label := t.LoadU32(d.labels + uint64(b0+b)*4)
 		maxv := lg[0]
 		for _, v := range lg {
@@ -153,8 +145,8 @@ func (d *DNN) updateW2(env *workloads.Env) {
 			return
 		}
 		c, j := id/d.hidden, id%d.hidden
-		g := loadRow(t, d.gradT+uint64(c*d.batch)*4, d.batch)
-		h := loadRow(t, d.hidT+uint64(j*d.batch)*4, d.batch)
+		g := t.LoadF32s(0, d.gradT+uint64(c*d.batch)*4, d.batch)
+		h := t.LoadF32s(1, d.hidT+uint64(j*d.batch)*4, d.batch)
 		var dw float32
 		for b := range g {
 			dw += g[b] * h[b]
@@ -183,7 +175,7 @@ func (d *DNN) dhidKernel(env *workloads.Env) {
 			return
 		}
 		b, j := id/d.hidden, id%d.hidden
-		g := loadRow(t, d.grad+uint64(b*d.classes)*4, d.classes)
+		g := t.LoadF32s(0, d.grad+uint64(b*d.classes)*4, d.classes)
 		var acc float32
 		for c := 0; c < d.classes; c++ {
 			acc += t.LoadF32(d.wBlock+uint64(d.w2Off()+c*d.hidden+j)*4) * g[c]
@@ -206,8 +198,8 @@ func (d *DNN) updateW1(env *workloads.Env, b0 int) {
 			return
 		}
 		j, i := id/d.inputs, id%d.inputs
-		g := loadRow(t, d.dhidT+uint64(j*d.batch)*4, d.batch)
-		xc := loadRow(t, d.xT+uint64(i*dnnDataset+b0)*4, d.batch)
+		g := t.LoadF32s(0, d.dhidT+uint64(j*d.batch)*4, d.batch)
+		xc := t.LoadF32s(1, d.xT+uint64(i*dnnDataset+b0)*4, d.batch)
 		var dw float32
 		for b := range g {
 			dw += g[b] * xc[b]

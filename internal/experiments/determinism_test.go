@@ -126,3 +126,26 @@ func TestDeterminismCampaignVerdicts(t *testing.T) {
 			serialTSV, parTSV)
 	}
 }
+
+// TestDeterminismCampaignRepeat runs the same crash campaign twice in one
+// process. Every run releases its node for the next, so the second sweep
+// executes entirely on arenas the first one dirtied, and its verdicts must
+// not change.
+func TestDeterminismCampaignRepeat(t *testing.T) {
+	sweep := func() []byte {
+		c := &crash.Campaign{Seed: 7, MaxPoints: 2, RecrashDepth: 1, Workers: 2}
+		wc, err := c.Run(func() workloads.Crasher { return kvstore.New() }, workloads.QuickConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob, err := json.Marshal(wc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return blob
+	}
+	if first, second := sweep(), sweep(); !bytes.Equal(first, second) {
+		t.Fatalf("campaign verdicts differ between two sweeps in one process:\n--- first\n%s\n--- second\n%s",
+			first, second)
+	}
+}

@@ -422,3 +422,44 @@ func TestInvalidLaunchPanics(t *testing.T) {
 		}()
 	}
 }
+
+// LoadF32s is one wide load: the same transactions, bytes and time as a
+// LoadBytes of 4n bytes, decoded into a buffer the thread keeps, so a row
+// load allocates nothing once the buffer has grown.
+func TestLoadF32sIsOneAllocationFreeWideLoad(t *testing.T) {
+	const n = 200
+	d := newDev(t)
+	a, b := d.Space.AllocPM(4*n, 0), d.Space.AllocPM(4*n, 0)
+	for i := 0; i < n; i++ {
+		d.Space.WriteF32(a+uint64(4*i), float32(i))
+		d.Space.WriteF32(b+uint64(4*i), float32(-i))
+	}
+	raw := d.Launch("rows", 1, 1, func(th *Thread) {
+		th.LoadBytes(a, make([]byte, 4*n))
+		th.LoadBytes(b, make([]byte, 4*n))
+	})
+	var allocs float64
+	rows := d.Launch("rows", 1, 1, func(th *Thread) {
+		x, y := th.LoadF32s(0, a, n), th.LoadF32s(1, b, n)
+		for i := range x {
+			if x[i] != float32(i) || y[i] != float32(-i) {
+				t.Fatalf("row element %d = %v, %v", i, x[i], y[i])
+			}
+		}
+		// The lane log's amortised growth is not the row load's.
+		allocs = testing.AllocsPerRun(100, func() { th.LoadF32s(0, a, n) })
+	})
+	if allocs != 0 {
+		t.Errorf("row load: %v allocs, want 0", allocs)
+	}
+	rows = d.Launch("rows", 1, 1, func(th *Thread) {
+		th.LoadF32s(0, a, n)
+		th.LoadF32s(1, b, n)
+	})
+	if rows.Stats.PMReadTxns != raw.Stats.PMReadTxns || rows.Stats.PMReadBytes != raw.Stats.PMReadBytes ||
+		rows.Elapsed != raw.Elapsed {
+		t.Errorf("row loads (%d txns, %d B, %v) differ from raw loads (%d txns, %d B, %v)",
+			rows.Stats.PMReadTxns, rows.Stats.PMReadBytes, rows.Elapsed,
+			raw.Stats.PMReadTxns, raw.Stats.PMReadBytes, raw.Elapsed)
+	}
+}

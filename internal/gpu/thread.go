@@ -40,6 +40,8 @@ type Thread struct {
 
 	lineScratch []uint64            // reused dirty-line buffer for stores
 	seenLines   map[uint64]struct{} // reused dedupe scratch
+	rowBytes    []byte              // reused raw buffer for LoadF32s
+	rows        [2][]float32        // LoadF32s row buffers
 
 	// Canonical-index state (see engine.go). opIdx counts this thread's
 	// operations; each gets the launch-wide canonical index
@@ -149,6 +151,27 @@ func (t *Thread) LoadBytes(addr uint64, p []byte) {
 	t.checkCrash()
 	t.Space().Read(addr, p)
 	t.log(laneOp{kind: opLoad, addr: addr, size: uint32(len(p)), space: t.Space().KindOf(addr)})
+}
+
+// LoadF32s reads n contiguous little-endian float32s at addr as one wide
+// load of 4n bytes (a vectorized row fetch) into row buffer buf (0 or 1),
+// so a thread can hold two rows at once. The slice stays valid until the
+// thread's next LoadF32s into the same buffer; the buffers are reused
+// across launches, so the load allocates nothing once they have grown to n.
+func (t *Thread) LoadF32s(buf int, addr uint64, n int) []float32 {
+	if cap(t.rowBytes) < 4*n {
+		t.rowBytes = make([]byte, 4*n)
+	}
+	raw := t.rowBytes[:4*n]
+	t.LoadBytes(addr, raw)
+	if cap(t.rows[buf]) < n {
+		t.rows[buf] = make([]float32, n)
+	}
+	row := t.rows[buf][:n]
+	for i := range row {
+		row[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
+	}
+	return row
 }
 
 // StoreU32 writes a little-endian uint32.

@@ -12,6 +12,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"github.com/gpm-sim/gpm/internal/arena"
 	"github.com/gpm-sim/gpm/internal/cache"
 	"github.com/gpm-sim/gpm/internal/pcie"
 	"github.com/gpm-sim/gpm/internal/pmem"
@@ -79,9 +80,26 @@ type Space struct {
 	locks [atomicStripes]sync.Mutex
 }
 
+// region is one volatile memory. Every byte ever written lies below the
+// allocator's high-water mark next, which is what lets a crash or a
+// Release clear only [0, next).
 type region struct {
 	data []byte
 	next atomic.Uint64
+}
+
+// volatilePool recycles the HBM and DRAM arrays of released nodes.
+var volatilePool arena.Pool[byte]
+
+// wipe zeroes everything ever allocated in the region.
+func (r *region) wipe() { clear(r.data[:r.next.Load()]) }
+
+// release hands the array back to the pool; the region is unusable after.
+func (r *region) release() {
+	if r.data != nil {
+		volatilePool.Put(r.data, int(r.next.Load()))
+		r.data = nil
+	}
 }
 
 // Config sizes the three regions.
@@ -102,7 +120,9 @@ func DefaultConfig() Config {
 	}
 }
 
-// New builds a Space with the given parameters and region sizes.
+// New builds a Space with the given parameters and region sizes. Its
+// backing arrays come from nodes released earlier when sizes match; every
+// region reads all zero either way.
 func New(params *sim.Params, cfg Config) *Space {
 	dev := pmem.New(params, cfg.PMSize)
 	link := pcie.NewLink(params)
@@ -113,9 +133,20 @@ func New(params *sim.Params, cfg Config) *Space {
 		Link:   link,
 		DMA:    pcie.NewDMA(link),
 	}
-	s.hbm.data = make([]byte, cfg.HBMSize)
-	s.dram.data = make([]byte, cfg.DRAMSize)
+	s.hbm.data = volatilePool.Get(int(cfg.HBMSize))
+	s.dram.data = volatilePool.Get(int(cfg.DRAMSize))
 	return s
+}
+
+// Release hands the node's HBM, DRAM and PM arrays back for reuse by a
+// later New. Only a node nothing will touch again may be released: a run
+// that has returned its report, never a long-lived node such as a serving
+// shard. Afterwards every access panics rather than reach memory that now
+// backs another node.
+func (s *Space) Release() {
+	s.hbm.release()
+	s.dram.release()
+	s.PM.Release()
 }
 
 // AttachTelemetry mirrors the PM device, LLC, and PCIe link counters into
@@ -303,15 +334,18 @@ func (s *Space) WriteGPUSeq(addr uint64, p []byte, seq uint64) []uint64 {
 
 // WriteGPUSeqInto is WriteGPUSeq appending the to-persist line addresses to
 // dst, so the GPU store hot path can reuse one scratch slice per thread.
-// The DDIO-on PM path still allocates fresh lines: the LLC event buffer
-// takes ownership of the slice it is handed, so scratch must not reach it.
+// The returned slice may share dst's backing array.
 func (s *Space) WriteGPUSeqInto(dst []uint64, addr uint64, p []byte, seq uint64) []uint64 {
 	kind, off := s.resolve(addr, len(p))
 	switch kind {
 	case KindPM:
 		if !s.ddioOff.Load() {
-			s.LLC.CacheLines(s.PM.WriteSeq(off, p, seq), seq)
-			return dst // the fence cannot persist LLC-resident lines
+			// dst's spare capacity holds the lines on their way into the
+			// LLC, which copies them. The fence cannot persist LLC-resident
+			// lines, so nothing is appended to dst.
+			lines := s.PM.WriteSeqInto(dst, off, p, seq)
+			s.LLC.CacheLines(lines[len(dst):], seq)
+			return lines[:len(dst)]
 		}
 		base := len(dst)
 		lines := s.PM.WriteSeqInto(dst, off, p, seq)
@@ -343,11 +377,7 @@ func (s *Space) WriteCPUSeq(addr uint64, p []byte, seq uint64) []uint64 {
 	switch kind {
 	case KindPM:
 		lines := s.PM.WriteSeq(off, p, seq)
-		// The LLC event takes ownership of its slice; copy because the
-		// non-eADR return value below rebases the same lines to virtual.
-		cached := make([]uint64, len(lines))
-		copy(cached, lines)
-		s.LLC.CacheLines(cached, seq)
+		s.LLC.CacheLines(lines, seq) // copied before the rebase below
 		if s.eADR.Load() {
 			return nil
 		}
@@ -481,12 +511,8 @@ func (s *Space) CrashWith(model pmem.FaultModel, seed uint64) pmem.CrashStats {
 	}
 	s.LLC.Crash()
 	st := s.PM.CrashWith(model, seed)
-	for i := range s.hbm.data {
-		s.hbm.data[i] = 0
-	}
-	for i := range s.dram.data {
-		s.dram.data[i] = 0
-	}
+	s.hbm.wipe()
+	s.dram.wipe()
 	return st
 }
 

@@ -56,7 +56,7 @@ func TestGPUWritePMWithDDIOOn(t *testing.T) {
 	s := newSpace(t)
 	addr := s.AllocPM(64, 0)
 	lines := s.WriteGPU(addr, []byte{1})
-	if lines != nil {
+	if len(lines) != 0 {
 		t.Error("DDIO-on GPU write should return no fence-persistable lines")
 	}
 	if !s.LLC.Resident(addr - PMBase) {
@@ -124,6 +124,11 @@ func TestCrashWipesVolatileRegions(t *testing.T) {
 	s.Read(d, got)
 	if got[0] != 0 {
 		t.Error("DRAM survived crash")
+	}
+	// The crash clears only below the allocation marks; nothing above
+	// them was ever written.
+	if bad := nonZero(s); len(bad) > 0 {
+		t.Errorf("regions %v hold data after a crash", bad)
 	}
 }
 

@@ -9,14 +9,26 @@
 // bytes. Persisting a line discards its overlay entry; a crash rolls every
 // overlay entry back, reconstructing exactly the durable image. This gives
 // byte-exact crash semantics without duplicating the whole device.
+//
+// The overlay is split into lock shards by line number. Each shard keeps
+// its entries in a slab — a dense slice of (line, sequence) records plus
+// one arena holding their old images at the same positions — and a
+// device-wide direct index maps a line number to its slab slot. Dirtying a
+// line appends to the slab; persisting one moves the slab's last entry into
+// its place, so a shard whose lines have all persisted (or crashed) is an
+// empty slab that keeps its capacity. Once warm, the write path allocates
+// nothing. Release hands the media and the line index to the next device
+// of the same size, clearing only the lines that were ever dirtied.
 package pmem
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
+	"github.com/gpm-sim/gpm/internal/arena"
 	"github.com/gpm-sim/gpm/internal/sim"
 	"github.com/gpm-sim/gpm/internal/telemetry"
 )
@@ -31,6 +43,10 @@ type Device struct {
 	line   uint64 // persistence tracking granularity (64B)
 
 	shards [shardCount]shard
+	// slot maps a line number to 1 + the index of its entry in its shard's
+	// slab; 0 means the line is durable. An element is only touched under
+	// the shard lock of its line.
+	slot []int32
 
 	// writeSeq orders dirty lines by their most recent write, so crash
 	// fault models (Reorder in particular) can reason about the
@@ -91,32 +107,79 @@ func (d *Device) AttachTelemetry(r *telemetry.Registry) {
 	d.telCrashTorn = r.Counter("pmem.crash_words_torn")
 }
 
-// dirtyLine is one overlay entry: the line's last durable bytes plus the
-// sequence number of the most recent write that touched it.
+// dirtyLine is one overlay entry: a line written since it last became
+// durable, and the sequence number of the most recent write that touched
+// it. The line's last durable bytes sit at the same position of the
+// shard's old-image arena.
 type dirtyLine struct {
-	old []byte
-	seq uint64
+	addr uint64
+	seq  uint64
 }
 
 type shard struct {
-	mu      sync.Mutex
-	overlay map[uint64]*dirtyLine // line address -> rollback state
+	mu    sync.Mutex
+	lines []dirtyLine // slab of this shard's dirty lines, in no order
+	old   []byte      // old images: lines[i]'s at old[i*line:(i+1)*line]
+	hi    uint64      // end of the highest line ever dirtied here
 }
+
+// slabs carries a released device's overlay capacity to the next device.
+type slabs [shardCount]struct {
+	lines []dirtyLine
+	old   []byte
+}
+
+// Media, line-index and slab arrays of released devices, reused by New.
+var (
+	mediaPool arena.Pool[byte]
+	slotPool  arena.Pool[int32]
+	slabPool  sync.Pool // *slabs
+)
 
 // New returns a PM device of the given size, zero-filled and fully durable.
 func New(params *sim.Params, size int64) *Device {
 	if size <= 0 {
 		panic("pmem: device size must be positive")
 	}
+	line := uint64(params.LineSize())
 	d := &Device{
 		params: params,
-		data:   make([]byte, size),
-		line:   uint64(params.LineSize()),
+		data:   mediaPool.Get(int(size)),
+		slot:   slotPool.Get(int((uint64(size) + line - 1) / line)),
+		line:   line,
 	}
-	for i := range d.shards {
-		d.shards[i].overlay = make(map[uint64]*dirtyLine)
+	if s, ok := slabPool.Get().(*slabs); ok {
+		for i := range s {
+			d.shards[i].lines, d.shards[i].old = s[i].lines, s[i].old
+		}
 	}
 	return d
+}
+
+// Release hands the device's media, line index and emptied slabs back for
+// reuse by a later New. Only the prefix that was ever written is cleared,
+// so the next device still starts all zero. The device must be dead:
+// afterwards every access panics instead of reaching another device's
+// media.
+func (d *Device) Release() {
+	if d.data == nil {
+		return
+	}
+	var hi uint64
+	s := new(slabs)
+	for i := range d.shards {
+		sh := &d.shards[i]
+		sh.mu.Lock()
+		d.truncate(sh)
+		hi = max(hi, sh.hi)
+		s[i].lines, s[i].old = sh.lines, sh.old
+		sh.lines, sh.old = nil, nil
+		sh.mu.Unlock()
+	}
+	slabPool.Put(s)
+	mediaPool.Put(d.data, int(hi))
+	slotPool.Put(d.slot, 0)
+	d.data, d.slot = nil, nil
 }
 
 // Size returns the device capacity in bytes.
@@ -127,6 +190,57 @@ func (d *Device) LineSize() int { return int(d.line) }
 
 func (d *Device) shardFor(lineAddr uint64) *shard {
 	return &d.shards[(lineAddr/d.line)%shardCount]
+}
+
+// entry returns the slab index of line la's overlay entry; ok is false when
+// the line is durable. Callers hold la's shard lock.
+func (d *Device) entry(la uint64) (i int, ok bool) {
+	s := d.slot[la/d.line]
+	return int(s) - 1, s != 0
+}
+
+// oldImage is the durable image saved for slab entry i.
+func (d *Device) oldImage(sh *shard, i int) []byte {
+	return sh.old[uint64(i)*d.line : uint64(i+1)*d.line]
+}
+
+// markDirty records a write with sequence seq to line la, saving the
+// line's durable bytes if it was clean. Callers hold la's shard lock.
+func (d *Device) markDirty(sh *shard, la, seq uint64) {
+	if i, ok := d.entry(la); ok {
+		if e := &sh.lines[i]; seq > e.seq {
+			e.seq = seq
+		}
+		return
+	}
+	sh.lines = append(sh.lines, dirtyLine{addr: la, seq: seq})
+	sh.old = append(sh.old, d.data[la:la+d.line]...)
+	d.slot[la/d.line] = int32(len(sh.lines))
+	sh.hi = max(sh.hi, la+d.line)
+}
+
+// drop discards slab entry i, moving the last entry into its place.
+// Callers hold the shard lock.
+func (d *Device) drop(sh *shard, i int) {
+	last := len(sh.lines) - 1
+	d.slot[sh.lines[i].addr/d.line] = 0
+	if i != last {
+		sh.lines[i] = sh.lines[last]
+		copy(d.oldImage(sh, i), d.oldImage(sh, last))
+		d.slot[sh.lines[i].addr/d.line] = int32(i + 1)
+	}
+	sh.lines = sh.lines[:last]
+	sh.old = sh.old[:uint64(last)*d.line]
+}
+
+// truncate empties a shard's overlay, keeping the slab's capacity. Callers
+// hold the shard lock.
+func (d *Device) truncate(sh *shard) {
+	for _, e := range sh.lines {
+		d.slot[e.addr/d.line] = 0
+	}
+	sh.lines = sh.lines[:0]
+	sh.old = sh.old[:0]
 }
 
 func (d *Device) check(addr uint64, n int) {
@@ -168,8 +282,7 @@ func (d *Device) WriteSeq(addr uint64, p []byte, seq uint64) []uint64 {
 // WriteSeqInto is WriteSeq appending the dirtied line addresses to dst,
 // letting hot-path callers (the GPU store path) reuse one scratch slice
 // instead of allocating per store. The returned slice may share dst's
-// backing array; callers that hand lines to an owning consumer (the LLC)
-// must not pass reused scratch.
+// backing array.
 func (d *Device) WriteSeqInto(dst []uint64, addr uint64, p []byte, seq uint64) []uint64 {
 	d.check(addr, len(p))
 	if len(p) == 0 {
@@ -190,13 +303,7 @@ func (d *Device) WriteSeqInto(dst []uint64, addr uint64, p []byte, seq uint64) [
 		}
 		sh := d.shardFor(la)
 		sh.mu.Lock()
-		if ent, dirty := sh.overlay[la]; !dirty {
-			old := make([]byte, d.line)
-			copy(old, d.data[la:la+d.line])
-			sh.overlay[la] = &dirtyLine{old: old, seq: seq}
-		} else if seq > ent.seq {
-			ent.seq = seq
-		}
+		d.markDirty(sh, la, seq)
 		copy(d.data[start:end], p[start-addr:end-addr])
 		sh.mu.Unlock()
 		lines = append(lines, la)
@@ -261,9 +368,9 @@ func (d *Device) PersistLine(lineAddr uint64) {
 	la := lineAddr / d.line * d.line
 	sh := d.shardFor(la)
 	sh.mu.Lock()
-	_, dirty := sh.overlay[la]
+	i, dirty := d.entry(la)
 	if dirty {
-		delete(sh.overlay, la)
+		d.drop(sh, i)
 	}
 	sh.mu.Unlock()
 	if dirty {
@@ -293,9 +400,9 @@ func (d *Device) PersistLineBefore(lineAddr, seq uint64) {
 	la := lineAddr / d.line * d.line
 	sh := d.shardFor(la)
 	sh.mu.Lock()
-	ent, dirty := sh.overlay[la]
-	if dirty && ent.seq <= seq {
-		delete(sh.overlay, la)
+	i, dirty := d.entry(la)
+	if dirty && sh.lines[i].seq <= seq {
+		d.drop(sh, i)
 	} else {
 		dirty = false
 	}
@@ -338,8 +445,8 @@ func (d *Device) PersistAll() {
 	for i := range d.shards {
 		sh := &d.shards[i]
 		sh.mu.Lock()
-		n := len(sh.overlay)
-		sh.overlay = make(map[uint64]*dirtyLine)
+		n := len(sh.lines)
+		d.truncate(sh)
 		sh.mu.Unlock()
 		if n > 0 {
 			d.metrics.mu.Lock()
@@ -380,11 +487,11 @@ func (d *Device) CrashWith(model FaultModel, seed uint64) CrashStats {
 		for i := range d.shards {
 			sh := &d.shards[i]
 			sh.mu.Lock()
-			for la, ent := range sh.overlay {
-				copy(d.data[la:la+d.line], ent.old)
+			for i, e := range sh.lines {
+				copy(d.data[e.addr:e.addr+d.line], d.oldImage(sh, i))
 			}
-			stats.DirtyLines += len(sh.overlay)
-			sh.overlay = make(map[uint64]*dirtyLine)
+			stats.DirtyLines += len(sh.lines)
+			d.truncate(sh)
 			sh.mu.Unlock()
 		}
 		stats.LinesRolledBack = stats.DirtyLines
@@ -403,16 +510,19 @@ func (d *Device) CrashWith(model FaultModel, seed uint64) CrashStats {
 	for i := range d.shards {
 		sh := &d.shards[i]
 		sh.mu.Lock()
-		for la, ent := range sh.overlay {
-			if cutActive && ent.seq > cut {
-				// Post-failure write: force rollback now.
-				copy(d.data[la:la+d.line], ent.old)
-				delete(sh.overlay, la)
+		for i := 0; i < len(sh.lines); {
+			e := sh.lines[i]
+			if cutActive && e.seq > cut {
+				// Post-failure write: force rollback now. drop moves
+				// the last entry into slot i, so i is not advanced.
+				copy(d.data[e.addr:e.addr+d.line], d.oldImage(sh, i))
+				d.drop(sh, i)
 				stats.DirtyLines++
 				stats.LinesRolledBack++
 				continue
 			}
-			refs = append(refs, dirtyRef{line: DirtyLine{Addr: la, Seq: ent.seq}, sh: sh})
+			refs = append(refs, dirtyRef{line: DirtyLine{Addr: e.addr, Seq: e.seq}, sh: sh})
+			i++
 		}
 		sh.mu.Unlock()
 	}
@@ -420,11 +530,11 @@ func (d *Device) CrashWith(model FaultModel, seed uint64) CrashStats {
 	// unique per write, but a multi-line write shares one sequence across
 	// its lines, and the address tie-break keeps the fault-model input
 	// deterministic in that case too.
-	sort.Slice(refs, func(i, j int) bool {
-		if refs[i].line.Seq != refs[j].line.Seq {
-			return refs[i].line.Seq < refs[j].line.Seq
+	slices.SortFunc(refs, func(a, b dirtyRef) int {
+		if c := cmp.Compare(a.line.Seq, b.line.Seq); c != 0 {
+			return c
 		}
-		return refs[i].line.Addr < refs[j].line.Addr
+		return cmp.Compare(a.line.Addr, b.line.Addr)
 	})
 	lines := make([]DirtyLine, len(refs))
 	for i, r := range refs {
@@ -438,15 +548,16 @@ func (d *Device) CrashWith(model FaultModel, seed uint64) CrashStats {
 	for i, r := range refs {
 		la := r.line.Addr
 		r.sh.mu.Lock()
-		ent, ok := r.sh.overlay[la]
+		j, ok := d.entry(la)
 		if !ok {
 			r.sh.mu.Unlock()
 			continue
 		}
+		old := d.oldImage(r.sh, j)
 		mask := fates[i].SurviveMask & full
 		switch mask {
 		case 0:
-			copy(d.data[la:la+d.line], ent.old)
+			copy(d.data[la:la+d.line], old)
 			stats.LinesRolledBack++
 		case full:
 			stats.LinesSurvived++
@@ -454,13 +565,13 @@ func (d *Device) CrashWith(model FaultModel, seed uint64) CrashStats {
 			for w := 0; w < words; w++ {
 				if mask&(uint64(1)<<w) == 0 {
 					off := la + uint64(w)*8
-					copy(d.data[off:off+8], ent.old[uint64(w)*8:uint64(w)*8+8])
+					copy(d.data[off:off+8], old[uint64(w)*8:uint64(w)*8+8])
 				} else {
 					stats.WordsTorn++
 				}
 			}
 		}
-		delete(r.sh.overlay, la)
+		d.drop(r.sh, j)
 		r.sh.mu.Unlock()
 	}
 	d.noteCrash(stats)
@@ -487,7 +598,7 @@ func (d *Device) Persisted(addr uint64, n int) bool {
 	for la := first; la <= last; la += d.line {
 		sh := d.shardFor(la)
 		sh.mu.Lock()
-		_, dirty := sh.overlay[la]
+		_, dirty := d.entry(la)
 		sh.mu.Unlock()
 		if dirty {
 			return false
@@ -502,7 +613,7 @@ func (d *Device) DirtyLines() int {
 	for i := range d.shards {
 		sh := &d.shards[i]
 		sh.mu.Lock()
-		n += len(sh.overlay)
+		n += len(sh.lines)
 		sh.mu.Unlock()
 	}
 	return n
@@ -522,7 +633,7 @@ func (d *Device) SnapshotPersistent(addr uint64, n int) []byte {
 	for la := first; la <= last; la += d.line {
 		sh := d.shardFor(la)
 		sh.mu.Lock()
-		ent, dirty := sh.overlay[la]
+		i, dirty := d.entry(la)
 		if dirty {
 			// Intersect the line with [addr, addr+n).
 			start, end := la, la+d.line
@@ -532,7 +643,7 @@ func (d *Device) SnapshotPersistent(addr uint64, n int) []byte {
 			if end > addr+uint64(n) {
 				end = addr + uint64(n)
 			}
-			copy(out[start-addr:end-addr], ent.old[start-la:end-la])
+			copy(out[start-addr:end-addr], d.oldImage(sh, i)[start-la:end-la])
 		}
 		sh.mu.Unlock()
 	}

@@ -167,8 +167,9 @@ type Shard struct {
 	fired      *ShardCrashPlan
 	applyCount int64 // mutation-bearing Apply calls seen (plan trigger index)
 
-	ops  int64
-	down bool // crashed and not yet restarted
+	ops      int64
+	down     bool         // crashed and not yet restarted
+	restarts atomic.Int64 // completed crash-recovery cycles
 
 	// audit, when set, receives crash/restart/verify events — the recovery
 	// audit trail. Nil disables (obs.AuditLog methods are nil-safe).
@@ -950,6 +951,7 @@ func (s *Shard) RestartWithRecrash(depth int, model pmem.FaultModel, fseed uint6
 	s.dedupShadowReload()
 	s.oraShadowReload()
 	s.down = false
+	s.restarts.Add(1)
 	restore := ctx.Timeline.Total() - start
 	s.env.AddRestore(restore)
 	s.audit.Record(obs.AuditEvent{
@@ -961,6 +963,10 @@ func (s *Shard) RestartWithRecrash(depth int, model pmem.FaultModel, fseed uint6
 	})
 	return restore, nil
 }
+
+// Restarts returns how many crash-recovery cycles the shard has completed.
+// It counts whether or not telemetry is attached.
+func (s *Shard) Restarts() int64 { return s.restarts.Load() }
 
 // recrashDetail annotates a restart audit event with nested-crash count.
 func recrashDetail(n int) string {

@@ -162,12 +162,14 @@ type Crasher interface {
 }
 
 // runOne executes a workload under a mode on a fresh environment and
-// returns its report.
+// returns its report. The environment dies with the run, so its node's
+// memory is released for the next one.
 func runOne(w Workload, mode Mode, cfg Config) (*Report, error) {
 	if !w.Supports(mode) {
 		return nil, fmt.Errorf("workloads: %s does not support %s", w.Name(), mode)
 	}
 	env := NewEnv(mode, cfg)
+	defer env.Ctx.Space.Release()
 	if cfg.Telemetry != nil {
 		env.Ctx.AttachTelemetry(cfg.Telemetry, w.Name()+"/"+mode.String())
 	}

@@ -68,6 +68,7 @@ func runWithPlan(w Crasher, mode Mode, cfg Config, plan CrashPlan) (*Report, err
 		return nil, fmt.Errorf("workloads: %s does not support %s", w.Name(), mode)
 	}
 	env := NewEnv(mode, cfg)
+	defer env.Ctx.Space.Release()
 	if cfg.Telemetry != nil {
 		env.Ctx.AttachTelemetry(cfg.Telemetry, w.Name()+"/"+mode.String()+"/crash")
 	}
