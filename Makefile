@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet check recover-smoke obs-smoke chaos-smoke txn-smoke determinism bench figures quick-figures clean
+.PHONY: build test race vet check sim-digest recover-smoke obs-smoke chaos-smoke txn-smoke determinism bench figures quick-figures clean
 
 build:
 	$(GO) build ./...
@@ -20,8 +20,14 @@ vet:
 		echo "gofmt needed:"; echo "$$unformatted"; exit 1; fi
 
 # check is the tier-1 gate: everything CI runs.
-check: vet race recover-smoke obs-smoke chaos-smoke txn-smoke
+check: vet race sim-digest recover-smoke obs-smoke chaos-smoke txn-smoke
 	$(GO) build ./...
+
+# The paper's simulated numbers must not move: one sim-suite pass of the
+# benchmark, checked against bench/ref/sim_digest.txt (exits 1 on a
+# mismatch). Host-side work never changes these digests.
+sim-digest:
+	$(GO) run ./bench -workload sim-suite -seconds 1
 
 # Deterministic crash-campaign smoke: every recoverable workload, all four
 # fault models, swept crash points, one nested re-crash per recovery.

@@ -2,46 +2,16 @@
 // MegaKV-style GPU-accelerated persistent key-value store executing batched
 // SET/GET transactions with HCL undo logging on PM (§4.1, Fig 6) — and the
 // three CPU PM key-value stores it is compared against in Fig 1a (pmemKV-,
-// RocksDB-pmem-, and MatrixKV-style).
+// RocksDB-pmem-, and MatrixKV-style). Store is the gpKVS store itself; the
+// workload here and gpmserve's shards (internal/serve) both drive it.
 package kvstore
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"github.com/gpm-sim/gpm/internal/core"
-	"github.com/gpm-sim/gpm/internal/cpusim"
-	"github.com/gpm-sim/gpm/internal/fsim"
-	"github.com/gpm-sim/gpm/internal/gpu"
-	"github.com/gpm-sim/gpm/internal/sim"
 	"github.com/gpm-sim/gpm/internal/workloads"
 )
-
-const (
-	ways      = 8  // set associativity (MegaKV limits collisions with 8 ways)
-	pairBytes = 16 // 8B key + 8B value
-	thrdGrpSz = 8  // threads cooperating per SET (Fig 6a)
-	kvsTPB    = 256
-
-	// logEntryBytes: set u32 | way u32 | oldKey u64 | oldValue u64.
-	logEntryBytes = 24
-
-	gpuOpCost = 60 * sim.Nanosecond // hash + probe on a GPU thread
-	// hostOpCost is the server-side request/response handling per op
-	// (parse, dispatch, assemble response) — identical under every
-	// persistence system, so it dilutes GPM's advantage exactly where
-	// GETs dominate (gpKVS 95:5, §6.1).
-	hostOpCost = 1200 * sim.Nanosecond
-)
-
-// hashKey maps a key to (set, way); shared bit-for-bit by host and kernels.
-func hashKey(key uint64, sets int) (set, way int) {
-	z := key + 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
-	return int(z % uint64(sets)), int((z >> 32) % ways)
-}
 
 // batch is one transaction of operations.
 type batch struct {
@@ -63,16 +33,8 @@ type GpKVS struct {
 
 	sets, batches, opsPerBatch int
 
-	pmFile *fsim.File // PM-resident store
-	txFile *fsim.File // transaction-active flag
-	mirror uint64     // HBM working mirror of the store
-	keysB  uint64     // HBM staging for a batch's keys
-	valsB  uint64
-	getsB  uint64
-	delsB  uint64
-	outB   uint64 // GET results
-
-	log *gpm.Log
+	store *Store
+	log   *gpm.Log
 
 	blocks int
 	work   []batch
@@ -106,43 +68,20 @@ func (g *GpKVS) Supports(mode workloads.Mode) bool {
 	return mode != workloads.GPUfs && mode != workloads.CPUOnly
 }
 
-func (g *GpKVS) storeBytes() int64 { return int64(g.sets) * ways * pairBytes }
-
-func (g *GpKVS) slotAddr(base uint64, set, way int) uint64 {
-	return base + uint64((set*ways+way)*pairBytes)
-}
-
 // Setup implements workloads.Workload.
 func (g *GpKVS) Setup(env *workloads.Env) error {
 	cfg := env.Cfg
 	g.sets, g.batches, g.opsPerBatch = cfg.KVSSets, cfg.KVSBatches, cfg.KVSOpsPerBatch
-	sp := env.Ctx.Space
 
 	var err error
-	if g.pmFile, err = env.Ctx.FS.Create("/pm/kvs.store", g.storeBytes(), 0); err != nil {
+	if g.store, err = NewStore(env, g.sets, g.opsPerBatch); err != nil {
 		return err
 	}
-	if g.txFile, err = env.Ctx.FS.Create("/pm/kvs.tx", 64, 0); err != nil {
-		return err
-	}
-	g.mirror = sp.AllocHBM(g.storeBytes())
-	g.keysB = sp.AllocHBM(int64(g.opsPerBatch) * 8)
-	g.valsB = sp.AllocHBM(int64(g.opsPerBatch) * 8)
-	g.getsB = sp.AllocHBM(int64(g.opsPerBatch) * 8)
-	g.delsB = sp.AllocHBM(int64(g.opsPerBatch) * 8)
-	g.outB = sp.AllocHBM(int64(g.opsPerBatch) * 8)
-	g.model = make([]uint64, g.sets*ways*2)
-
-	// Empty store is durable from the start.
-	sp.PersistRange(g.pmFile.Mmap(), int(g.storeBytes()))
-	sp.PersistRange(g.txFile.Mmap(), 8)
+	g.model = make([]uint64, 2*g.store.Slots())
 
 	// Pre-generate batches: SET keys are unique per (set, way) within a
 	// batch so concurrent insertion order cannot change the result.
 	g.work = make([]batch, g.batches)
-	modelAt := func(set, way int) (uint64, uint64) {
-		return g.model[(set*ways+way)*2], g.model[(set*ways+way)*2+1]
-	}
 	shadow := make([]uint64, len(g.model))
 	copy(shadow, g.model)
 	nextKey := uint64(1)
@@ -211,7 +150,6 @@ func (g *GpKVS) Setup(env *workloads.Env) error {
 			}
 		}
 	}
-	_ = modelAt
 
 	// The HCL log is shaped for the SET grid: thrdGrpSz threads per op.
 	maxSets := 0
@@ -220,175 +158,18 @@ func (g *GpKVS) Setup(env *workloads.Env) error {
 			maxSets = len(b.setKeys)
 		}
 	}
-	g.blocks = (maxSets*thrdGrpSz + kvsTPB - 1) / kvsTPB
-	if env.Mode.UsesGPM() || env.Mode == workloads.GPMNDP {
-		logSize := int64(g.blocks*kvsTPB)*2*logEntryBytes + 1<<16
+	g.blocks = GridFor(maxSets)
+	if Logged(env.Mode) {
 		if g.ConvLog {
-			g.log, err = env.Ctx.LogCreateConv("/pm/kvs.log", logSize, 16)
+			g.log, err = env.Ctx.LogCreateConv("/pm/kvs.log", LogSize(g.blocks), 16)
 		} else {
-			g.log, err = env.Ctx.LogCreateHCL("/pm/kvs.log", logSize, g.blocks, kvsTPB)
+			g.log, err = g.store.CreateLog("/pm/kvs.log", g.blocks)
 		}
 		if err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// stageBatch ships a batch's operations to the GPU (cudaMemcpy HtoD).
-func (g *GpKVS) stageBatch(env *workloads.Env, b *batch) {
-	sp := env.Ctx.Space
-	sp.WriteCPU(g.keysB, u64Bytes(b.setKeys))
-	sp.WriteCPU(g.valsB, u64Bytes(b.setVals))
-	if len(b.getKeys) > 0 {
-		sp.WriteCPU(g.getsB, u64Bytes(b.getKeys))
-	}
-	if len(b.delKeys) > 0 {
-		sp.WriteCPU(g.delsB, u64Bytes(b.delKeys))
-	}
-	n := int64(len(b.setKeys)*16 + len(b.getKeys)*8 + len(b.delKeys)*8)
-	env.Ctx.Timeline.Add("stage", sp.DMA.TransferDown(n))
-}
-
-// setKernel is Fig 6a: groups of thrdGrpSz threads cooperate per SET; the
-// thread whose group lane equals the key's way logs the old pair through
-// libGPM, updates the store, and persists.
-func (g *GpKVS) setKernel(env *workloads.Env, nOps int, logging, direct, persist bool) error {
-	sets := g.sets
-	pm := g.pmFile.Mmap()
-	mirror, keys, vals := g.mirror, g.keysB, g.valsB
-	log := g.log
-	var kerr error
-	env.Ctx.Launch("kvs-set", g.blocks, kvsTPB, func(t *gpu.Thread) {
-		gid := t.GlobalID()
-		op := gid / thrdGrpSz
-		if op >= nOps {
-			return
-		}
-		key := t.LoadU64(keys + uint64(op)*8)
-		t.Compute(gpuOpCost)
-		set, way := hashKey(key, sets)
-		// Each group thread probes its own way (Fig 6a line 3); only the
-		// key's home way proceeds.
-		if gid%thrdGrpSz != way {
-			return
-		}
-		val := t.LoadU64(vals + uint64(op)*8)
-		mAddr := g.slotAddr(mirror, set, way)
-		if logging {
-			var entry [logEntryBytes]byte
-			binary.LittleEndian.PutUint32(entry[0:], uint32(set))
-			binary.LittleEndian.PutUint32(entry[4:], uint32(way))
-			binary.LittleEndian.PutUint64(entry[8:], t.LoadU64(mAddr))
-			binary.LittleEndian.PutUint64(entry[16:], t.LoadU64(mAddr+8))
-			if err := log.Insert(t, entry[:], -1); err != nil {
-				kerr = err
-				return
-			}
-		}
-		t.StoreU64(mAddr, key)
-		t.StoreU64(mAddr+8, val)
-		if direct {
-			pAddr := g.slotAddr(pm, set, way)
-			t.StoreU64(pAddr, key)
-			t.StoreU64(pAddr+8, val)
-			if persist {
-				gpm.Persist(t)
-			}
-		}
-	})
-	return kerr
-}
-
-// deleteKernel removes batched keys: the owning group thread logs the old
-// pair, zeroes the slot in mirror and PM, and persists — the same
-// undo-logged transactional pattern as SET (a DELETE is a SET of the empty
-// pair).
-func (g *GpKVS) deleteKernel(env *workloads.Env, nDels int, logging, direct, persist bool) error {
-	if nDels == 0 {
-		return nil
-	}
-	sets := g.sets
-	pm := g.pmFile.Mmap()
-	mirror, keys := g.mirror, g.delsB
-	log := g.log
-	var kerr error
-	// The grid matches the HCL log's geometry; excess threads exit.
-	env.Ctx.Launch("kvs-del", g.blocks, kvsTPB, func(t *gpu.Thread) {
-		gid := t.GlobalID()
-		op := gid / thrdGrpSz
-		if op >= nDels {
-			return
-		}
-		key := t.LoadU64(keys + uint64(op)*8)
-		t.Compute(gpuOpCost)
-		set, way := hashKey(key, sets)
-		if gid%thrdGrpSz != way {
-			return
-		}
-		mAddr := g.slotAddr(mirror, set, way)
-		if t.LoadU64(mAddr) != key {
-			return // miss: nothing to delete
-		}
-		if logging {
-			var entry [logEntryBytes]byte
-			binary.LittleEndian.PutUint32(entry[0:], uint32(set))
-			binary.LittleEndian.PutUint32(entry[4:], uint32(way))
-			binary.LittleEndian.PutUint64(entry[8:], t.LoadU64(mAddr))
-			binary.LittleEndian.PutUint64(entry[16:], t.LoadU64(mAddr+8))
-			if err := log.Insert(t, entry[:], -1); err != nil {
-				kerr = err
-				return
-			}
-		}
-		t.StoreU64(mAddr, 0)
-		t.StoreU64(mAddr+8, 0)
-		if direct {
-			pAddr := g.slotAddr(pm, set, way)
-			t.StoreU64(pAddr, 0)
-			t.StoreU64(pAddr+8, 0)
-			if persist {
-				gpm.Persist(t)
-			}
-		}
-	})
-	return kerr
-}
-
-// getKernel services batched GETs from the device-resident mirror.
-func (g *GpKVS) getKernel(env *workloads.Env, nGets int) {
-	sets := g.sets
-	mirror, gets, out := g.mirror, g.getsB, g.outB
-	blocks := (nGets + kvsTPB - 1) / kvsTPB
-	if blocks == 0 {
-		return
-	}
-	env.Ctx.Launch("kvs-get", blocks, kvsTPB, func(t *gpu.Thread) {
-		i := t.GlobalID()
-		if i >= nGets {
-			return
-		}
-		key := t.LoadU64(gets + uint64(i)*8)
-		t.Compute(gpuOpCost)
-		set, way := hashKey(key, sets)
-		mAddr := g.slotAddr(mirror, set, way)
-		var val uint64
-		if t.LoadU64(mAddr) == key {
-			val = t.LoadU64(mAddr + 8)
-		}
-		t.StoreU64(out+uint64(i)*8, val)
-	})
-}
-
-func (g *GpKVS) setTxFlag(env *workloads.Env, on bool) {
-	v := uint64(0)
-	if on {
-		v = 1
-	}
-	env.Ctx.RunCPU("tx-flag", 1, func(t *cpusim.Thread) {
-		t.WriteU64(g.txFile.Mmap(), v)
-		t.PersistRange(g.txFile.Mmap(), 8)
-	})
 }
 
 // Run implements workloads.Workload: execute every batch as a transaction.
@@ -406,21 +187,24 @@ func (g *GpKVS) Run(env *workloads.Env) error {
 // injector for the SET kernel.
 func (g *GpKVS) runBatch(env *workloads.Env, bi int, abortAfterOps int64) error {
 	b := &g.work[bi]
-	g.stageBatch(env, b)
-	mode := env.Mode
-	logging := (mode.UsesGPM() || mode == workloads.GPMNDP) && len(b.setKeys) > 0
-	direct := mode.UsesGPM() || mode == workloads.GPMNDP
-
-	if logging {
-		g.setTxFlag(env, true)
+	st := g.store
+	st.Stage(b.setKeys, b.setVals, b.delKeys, b.getKeys)
+	// Both mutate kernels launch on the full grid the log is shaped for;
+	// excess threads exit.
+	launch := TxLog{Grid: g.blocks}
+	var logs []TxLog
+	if Logged(env.Mode) && len(b.setKeys) > 0 {
+		launch.Log = g.log
+		logs = []TxLog{launch}
+		st.SetTxFlag(true)
 	}
 	env.PersistKernelBegin()
 	if abortAfterOps >= 0 {
 		env.Ctx.Dev.SetAbortCheck(func(op int64) bool { return op >= abortAfterOps })
 	}
-	err := g.setKernel(env, len(b.setKeys), logging, direct, mode.UsesGPM())
+	err := st.Mutate(false, len(b.setKeys), launch)
 	if err == nil {
-		err = g.deleteKernel(env, len(b.delKeys), logging, direct, mode.UsesGPM())
+		err = st.Mutate(true, len(b.delKeys), launch)
 	}
 	crashed := false
 	if abortAfterOps >= 0 {
@@ -431,116 +215,25 @@ func (g *GpKVS) runBatch(env *workloads.Env, bi int, abortAfterOps int64) error 
 		return err
 	}
 	if !crashed {
-		g.getKernel(env, len(b.getKeys))
+		st.Get(len(b.getKeys))
 	}
 	env.PersistKernelEnd()
 	if crashed {
 		return nil
 	}
-
-	// The host side of the store (a MegaKV-style server) parses requests
-	// and assembles responses for every operation, on either system.
 	totalOps := len(b.setKeys) + len(b.getKeys) + len(b.delKeys)
-	env.Ctx.RunCPU("kvs-serve", env.Cfg.CAPThreads, func(t *cpusim.Thread) {
-		per := (totalOps + t.N - 1) / t.N
-		mine := per
-		if t.ID*per+mine > totalOps {
-			mine = totalOps - t.ID*per
-		}
-		if mine > 0 {
-			t.Compute(sim.Duration(mine) * hostOpCost)
-		}
-	})
-
-	switch {
-	case mode.UsesGPM():
-		// Commit: truncate the log from a kernel (only threads that
-		// logged write anything), then clear the flag (§5.2).
-		log := g.log
-		env.PersistKernelBegin()
-		env.Ctx.Launch("kvs-logclear", g.blocks, kvsTPB, func(t *gpu.Thread) {
-			log.ClearIfUsed(t)
-		})
-		env.PersistKernelEnd()
-		g.setTxFlag(env, false)
-	case mode == workloads.GPMNDP:
-		// The kernel stored to PM directly, but the CPU must flush to
-		// guarantee durability — and it cannot know which slots the
-		// kernel updated (the indices are computed in the kernel, §3.2),
-		// so the whole store gets flushed.
-		env.Cap.FlushOnly(g.pmFile.Mmap(), g.storeBytes())
-		g.log.HostClearAll()
-		g.setTxFlag(env, false)
-	default:
-		// CAP: no byte-grained path — the store ships to the CPU in
-		// pre-defined large sections covering the updated entries
-		// (§3.2: "the entire KVS (or sections of it)"). A 100%-SET
-		// batch touches essentially every section, producing Table 4's
-		// ~39× amplification; the 95:5 mix touches only a few, which is
-		// why its GPM advantage moderates (§6.1).
-		for _, run := range g.touchedSections(b) {
-			if err := workloads.PersistBuffer(env, g.pmFile, run.off, g.mirror+uint64(run.off), run.n); err != nil {
-				return err
-			}
-		}
+	st.HostServe(totalOps)
+	if err := st.Commit(logs, b.setKeys, b.delKeys); err != nil {
+		return err
 	}
-	env.CountOps(int64(len(b.setKeys) + len(b.getKeys) + len(b.delKeys)))
+	env.CountOps(int64(totalOps))
 	return nil
-}
-
-// kvsSection is the granularity at which CAP ships the store (16 KB
-// pre-defined chunks).
-const kvsSection = 16 << 10
-
-type secRun struct{ off, n int64 }
-
-// touchedSections returns the merged section runs a batch's SETs touch.
-func (g *GpKVS) touchedSections(b *batch) []secRun {
-	nSections := (g.storeBytes() + kvsSection - 1) / kvsSection
-	touched := make([]bool, nSections)
-	for _, keys := range [][]uint64{b.setKeys, b.delKeys} {
-		for _, key := range keys {
-			set, way := hashKey(key, g.sets)
-			touched[int64(set*ways+way)*pairBytes/kvsSection] = true
-		}
-	}
-	var runs []secRun
-	for s := int64(0); s < nSections; s++ {
-		if !touched[s] {
-			continue
-		}
-		e := s
-		for e+1 < nSections && touched[e+1] {
-			e++
-		}
-		off := s * kvsSection
-		end := (e + 1) * kvsSection
-		if end > g.storeBytes() {
-			end = g.storeBytes()
-		}
-		runs = append(runs, secRun{off, end - off})
-		s = e
-	}
-	return runs
 }
 
 // commitModel applies batch bi to the host model.
 func (g *GpKVS) commitModel(bi int) {
 	b := &g.work[bi]
-	for i, key := range b.setKeys {
-		set, way := hashKey(key, g.sets)
-		slot := set*ways + way
-		g.model[slot*2] = key
-		g.model[slot*2+1] = b.setVals[i]
-	}
-	for _, key := range b.delKeys {
-		set, way := hashKey(key, g.sets)
-		slot := set*ways + way
-		if g.model[slot*2] == key {
-			g.model[slot*2] = 0
-			g.model[slot*2+1] = 0
-		}
-	}
+	g.store.ApplyModel(g.model, b.setKeys, b.setVals, b.delKeys)
 	g.committed = bi + 1
 }
 
@@ -548,22 +241,15 @@ func (g *GpKVS) commitModel(bi int) {
 // model after the last committed batch, and the last batch's GETs must have
 // returned the modeled values.
 func (g *GpKVS) Verify(env *workloads.Env) error {
-	snap := env.Ctx.Space.SnapshotPersistent(g.pmFile.Mmap(), int(g.storeBytes()))
-	for slot := 0; slot < g.sets*ways; slot++ {
-		key := binary.LittleEndian.Uint64(snap[slot*pairBytes:])
-		val := binary.LittleEndian.Uint64(snap[slot*pairBytes+8:])
-		if key != g.model[slot*2] || val != g.model[slot*2+1] {
-			return fmt.Errorf("kvs: durable slot %d = (%d,%d), want (%d,%d)",
-				slot, key, val, g.model[slot*2], g.model[slot*2+1])
-		}
+	if err := g.store.CheckDurable(g.model); err != nil {
+		return fmt.Errorf("kvs: %w", err)
 	}
 	// GET results of the last batch (volatile check; GETs do not persist,
 	// so there is nothing to compare after a crash).
 	if g.committed > 0 && !g.crashed {
 		b := &g.work[g.committed-1]
-		for i, want := range b.getExpect {
-			got := env.Ctx.Space.ReadU64(g.outB + uint64(i)*8)
-			if got != want {
+		for i, got := range g.store.GetResults(len(b.getExpect)) {
+			if want := b.getExpect[i]; got != want {
 				return fmt.Errorf("kvs: GET[%d] = %d, want %d", i, got, want)
 			}
 		}
@@ -592,8 +278,7 @@ func (g *GpKVS) RunUntilCrash(env *workloads.Env, abortAfterOps int64) error {
 // set, launch the Fig 6b recovery kernel to undo the partial batch.
 func (g *GpKVS) Recover(env *workloads.Env) error {
 	start := env.Ctx.Timeline.Total()
-	snap := env.Ctx.Space.SnapshotPersistent(g.txFile.Mmap(), 8)
-	if binary.LittleEndian.Uint64(snap) == 0 {
+	if !g.store.TxFlagSet() {
 		return nil // crash outside a transaction: nothing to undo
 	}
 	log, err := env.Ctx.LogOpen("/pm/kvs.log")
@@ -601,46 +286,10 @@ func (g *GpKVS) Recover(env *workloads.Env) error {
 		return err
 	}
 	g.log = log
-	pm := g.pmFile.Mmap()
-	sets := g.sets
-	env.Ctx.PersistBegin()
-	var kerr error
-	env.Ctx.Launch("kvs-recover", g.blocks, kvsTPB, func(t *gpu.Thread) {
-		// A thread may have logged more than one entry in the aborted
-		// batch (e.g. one SET and one DELETE share its slot range); undo
-		// them newest-first until its log is empty.
-		var entry [logEntryBytes]byte
-		for log.Read(t, entry[:], -1) == nil {
-			set := int(binary.LittleEndian.Uint32(entry[0:]))
-			way := int(binary.LittleEndian.Uint32(entry[4:]))
-			if set >= sets || way >= ways {
-				kerr = fmt.Errorf("kvs: corrupt log entry (set=%d way=%d)", set, way)
-				return
-			}
-			addr := g.slotAddr(pm, set, way)
-			t.StoreU64(addr, binary.LittleEndian.Uint64(entry[8:]))
-			t.StoreU64(addr+8, binary.LittleEndian.Uint64(entry[16:]))
-			gpm.Persist(t)
-			// Remove the entry only after the undo is durable (Fig 6b).
-			if err := log.Remove(t, logEntryBytes, -1); err != nil {
-				kerr = err
-				return
-			}
-		}
-	})
-	env.Ctx.PersistEnd()
-	if kerr != nil {
-		return kerr
+	if _, err := g.store.Undo(TxLog{Grid: g.blocks, Log: log}); err != nil {
+		return err
 	}
-	g.setTxFlag(env, false)
+	g.store.SetTxFlag(false)
 	env.AddRestore(env.Ctx.Timeline.Total() - start)
 	return nil
-}
-
-func u64Bytes(vals []uint64) []byte {
-	out := make([]byte, len(vals)*8)
-	for i, v := range vals {
-		binary.LittleEndian.PutUint64(out[i*8:], v)
-	}
-	return out
 }

@@ -71,6 +71,10 @@ func (o *tsOracle) release(ts uint64) {
 func (o *tsOracle) snapshot() uint64 {
 	o.mu.Lock()
 	defer o.mu.Unlock()
+	return o.floorLocked()
+}
+
+func (o *tsOracle) floorLocked() uint64 {
 	min := o.next
 	for ts := range o.outstanding {
 		if ts < min {
@@ -119,10 +123,31 @@ func newSnapRegistry() *snapRegistry {
 	return &snapRegistry{m: make(map[uint64]int)}
 }
 
-func (sr *snapRegistry) acquire(ts uint64) {
+// begin hands out the oracle's stable floor as a transaction snapshot and
+// pins it, reading and pinning under the oracle's lock. watermark computes
+// the GC watermark under the same lock, so no GC pass can fall between a
+// BEGIN's floor read and its pin and raise the MVCC floor above the
+// snapshot it hands out.
+func (sr *snapRegistry) begin(o *tsOracle) uint64 {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	snap := o.floorLocked()
 	sr.mu.Lock()
-	sr.m[ts]++
+	sr.m[snap]++
 	sr.mu.Unlock()
+	return snap
+}
+
+// watermark is the version-chain GC watermark: the oracle's stable floor,
+// or the oldest live snapshot when one is older.
+func (sr *snapRegistry) watermark(o *tsOracle) uint64 {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	wm := o.floorLocked()
+	if smin, ok := sr.min(); ok && smin < wm {
+		wm = smin
+	}
+	return wm
 }
 
 func (sr *snapRegistry) release(ts uint64) {

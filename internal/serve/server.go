@@ -1249,11 +1249,7 @@ func (w *shardWorker) onCommit(eb *epochBatch) {
 	}
 	w.commits++
 	if w.commits%mvccGCEvery == 0 {
-		wm := w.oracle.snapshot()
-		if smin, ok := w.snaps.min(); ok && smin < wm {
-			wm = smin
-		}
-		w.shard.MVCCGC(wm)
+		w.shard.MVCCGC(w.snaps.watermark(w.oracle))
 	}
 }
 

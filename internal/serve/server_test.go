@@ -128,22 +128,52 @@ func TestServerProtocolErrors(t *testing.T) {
 	}
 }
 
-// Two mutations of the same slot pipelined back-to-back chain into
-// consecutive epochs (the batch is NOT sealed — other keys keep filling
-// it) and resolve in arrival order.
+// Two SETs of one slot and a GET of it, admitted back to back, share ONE
+// epoch: the second SET squashes onto the first's slot image instead of
+// chaining into a later epoch, and the GET is resolved at admission from
+// the staged image. The squash rule is asserted on a worker whose batcher
+// and applier are not running, so no dispatch can split the three; the
+// reply order is then checked end to end over TCP.
 func TestServerConflictSquashesIntoEpoch(t *testing.T) {
-	tel := telemetry.New()
+	cfg := Config{Mode: workloads.GPM, Shards: 1, Sets: 64, MaxBatch: 64, Workers: 1}
+	if err := cfg.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	sh, err := NewShard(0, ShardConfig{Mode: cfg.Mode, Sets: cfg.Sets, MaxBatch: cfg.MaxBatch, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.New().Registry()
+	w := newShardWorker(sh, cfg, reg)
+	w.oracle, w.snaps = newOracle(0), newSnapRegistry()
+	var reqs []*request
+	for _, op := range []struct {
+		op       byte
+		key, val uint64
+	}{{'S', 11, 1}, {'S', 11, 2}, {'G', 11, 0}} {
+		r := &request{op: op.op, key: op.key, val: op.val, enq: time.Now(), done: make(chan string, 1)}
+		w.admit(r)
+		reqs = append(reqs, r)
+	}
+	if len(w.staged) != 1 || len(w.staged[0].pending) != 3 {
+		t.Fatalf("staged epochs = %d, want 1 carrying all 3 requests", len(w.staged))
+	}
+	if sq := reg.Counter("serve.shard0.squashes").Value(); sq != 1 {
+		t.Errorf("squashes = %d, want 1", sq)
+	}
+	if chains := reg.Counter("serve.shard0.conflict_chains").Value(); chains != 0 {
+		t.Errorf("conflict_chains = %d, want 0 (conflict squashed, not chained)", chains)
+	}
+	if got := reqs[2].pre; got != "VALUE 2" {
+		t.Errorf("GET pre-resolved to %q, want VALUE 2", got)
+	}
+
 	srv, addr := startServer(t, Config{
 		Mode: workloads.GPM, Shards: 1, Sets: 64, MaxBatch: 64,
-		BatchWait: 50 * time.Millisecond,
-		Workers:   1, Telemetry: tel,
+		BatchWait: 50 * time.Millisecond, Workers: 1,
 	})
 	br, c := dial(t, addr)
 	defer c.Close()
-
-	// Pipeline without waiting: SET k, SET k, GET k. The second SET folds
-	// onto the first's slot image inside ONE epoch; the GET resolves
-	// against the staged image and rides along for durability.
 	if _, err := fmt.Fprintf(c, "SET 11 1\nSET 11 2\nGET 11\n"); err != nil {
 		t.Fatal(err)
 	}
@@ -158,12 +188,6 @@ func TestServerConflictSquashesIntoEpoch(t *testing.T) {
 	}
 	c.Close()
 	srv.Shutdown(5 * time.Second)
-	if sq := tel.Registry().Counter("serve.shard0.squashes").Value(); sq < 1 {
-		t.Errorf("squashes = %d, want >= 1", sq)
-	}
-	if chains := tel.Registry().Counter("serve.shard0.conflict_chains").Value(); chains != 0 {
-		t.Errorf("conflict_chains = %d, want 0 (conflict squashed, not chained)", chains)
-	}
 	for _, sh := range srv.Shards() {
 		if err := sh.Verify(); err != nil {
 			t.Error(err)

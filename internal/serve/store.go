@@ -1,7 +1,7 @@
 // Package serve is gpmserve's batched network front-end over the gpKVS
 // store: a TCP server that accumulates client GET/SET/DEL requests into
-// admission-controlled batches and dispatches each batch as the same GPU
-// kernel transactions the gpKVS workload runs (SET/DELETE with HCL undo
+// admission-controlled batches and runs each batch as a transaction on the
+// same kvstore.Store the gpKVS workload drives (SET/DELETE with HCL undo
 // logging under GPM, CAP-fs/CAP-mm post-kernel persistence as baselines).
 // Replies are sent only after the batch's persistence path completes, so a
 // positive response implies durability of the mutation it acknowledges.
@@ -14,17 +14,13 @@
 package serve
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"strings"
 	"sync/atomic"
 	"time"
 
-	gpm "github.com/gpm-sim/gpm/internal/core"
-	"github.com/gpm-sim/gpm/internal/cpusim"
 	"github.com/gpm-sim/gpm/internal/fsim"
-	"github.com/gpm-sim/gpm/internal/gpu"
 	"github.com/gpm-sim/gpm/internal/kvstore"
 	"github.com/gpm-sim/gpm/internal/obs"
 	"github.com/gpm-sim/gpm/internal/pmem"
@@ -105,39 +101,29 @@ type BatchResult struct {
 }
 
 // Shard is one keyspace partition: a private simulated node holding a
-// gpKVS-layout store (Sets × 8 ways × 16 B on PM, HBM working mirror),
-// applying batches as kernel transactions under the configured mode. A
-// Shard is not safe for concurrent use; the server drives each shard from
+// gpKVS store (kvstore.Store: Sets × 8 ways × 16 B on PM, HBM working
+// mirror), applying batches as its transactions under the configured mode.
+// A Shard is not safe for concurrent use; the server drives each shard from
 // exactly one worker goroutine.
 type Shard struct {
 	id       int
 	mode     workloads.Mode
 	env      *workloads.Env
-	sets     int
 	maxBatch int
-	blocks   int // kernel grid (and HCL log geometry)
 
-	pmFile    *fsim.File // PM-resident store
-	txFile    *fsim.File // transaction-active flag
+	store     *kvstore.Store
 	dedupFile *fsim.File // PM dedup table: per-client committed high-water marks
 	jnlFile   *fsim.File // dedup undo journal (count-last, valid only while tx set)
 	oraFile   *fsim.File // MVCC timestamp-oracle reservation (monotone, unjournaled)
-	mirror    uint64     // HBM working mirror
-	keysB     uint64     // HBM staging: SET keys
-	valsB     uint64     // HBM staging: SET values
-	delsB     uint64     // HBM staging: DEL keys
-	getsB     uint64     // HBM staging: GET keys
-	outB      uint64     // HBM staging: GET results
 
-	// HCL logs, one per launch geometry. The HCL layout mirrors the kernel
-	// grid (Insert requires an exact geometry match), so a fixed
-	// MaxBatch-sized log would force every mutate kernel to launch the full
-	// grid no matter how small the batch. Instead each power-of-two block
-	// count up to the full grid gets its own log, a mutate launch uses the
-	// smallest grid covering its fill, and recovery replays every log (empty
-	// partitions cost nothing).
-	geoms []int      // ascending block counts; last == blocks
-	logs  []*gpm.Log // parallel to geoms
+	// Launch geometries, one per power-of-two block count up to the full
+	// grid (last), each with its own HCL log under logging modes. The HCL
+	// layout mirrors the kernel grid (Insert requires an exact geometry
+	// match), so a fixed MaxBatch-sized log would force every mutate kernel
+	// to launch the full grid no matter how small the batch. Instead a
+	// mutate launch uses the smallest grid covering its fill, and recovery
+	// replays every log (empty partitions cost nothing).
+	geoms []kvstore.TxLog
 
 	// model is the committed-state oracle: it reflects exactly the batches
 	// that were acknowledged, survives a simulated crash (it models what
@@ -233,21 +219,16 @@ func NewShard(id int, cfg ShardConfig) (*Shard, error) {
 	if cfg.CAPThreads < 1 {
 		cfg.CAPThreads = 16
 	}
-	s := &Shard{
-		id:       id,
-		mode:     cfg.Mode,
-		sets:     cfg.Sets,
-		maxBatch: cfg.MaxBatch,
-		blocks:   (cfg.MaxBatch*kvstore.ThreadGroup + kvstore.TPB - 1) / kvstore.TPB,
+	s := &Shard{id: id, mode: cfg.Mode, maxBatch: cfg.MaxBatch}
+	blocks := kvstore.GridFor(cfg.MaxBatch)
+	for g := 1; g < blocks; g *= 2 {
+		s.geoms = append(s.geoms, kvstore.TxLog{Grid: g})
 	}
-	for g := 1; g < s.blocks; g *= 2 {
-		s.geoms = append(s.geoms, g)
-	}
-	s.geoms = append(s.geoms, s.blocks)
-	store := s.storeBytes()
+	s.geoms = append(s.geoms, kvstore.TxLog{Grid: blocks})
+	store := kvstore.StoreBytes(cfg.Sets)
 	var logSize int64
 	for _, g := range s.geoms {
-		logSize += logSizeFor(g)
+		logSize += kvstore.LogSize(g.Grid)
 	}
 	staging := int64(cfg.MaxBatch) * 8 * 5
 	wcfg := workloads.Config{
@@ -260,12 +241,8 @@ func NewShard(id int, cfg ShardConfig) (*Shard, error) {
 	}
 	s.env = workloads.NewEnv(cfg.Mode, wcfg)
 
-	sp := s.env.Ctx.Space
 	var err error
-	if s.pmFile, err = s.env.Ctx.FS.Create("/pm/kvs.store", store, 0); err != nil {
-		return nil, err
-	}
-	if s.txFile, err = s.env.Ctx.FS.Create("/pm/kvs.tx", 64, 0); err != nil {
+	if s.store, err = kvstore.NewStore(s.env, cfg.Sets, cfg.MaxBatch); err != nil {
 		return nil, err
 	}
 	if s.dedupFile, err = s.env.Ctx.FS.Create("/pm/kvs.dedup", dedupTableBytes, 0); err != nil {
@@ -277,31 +254,23 @@ func NewShard(id int, cfg ShardConfig) (*Shard, error) {
 	if s.oraFile, err = s.env.Ctx.FS.Create("/pm/kvs.oracle", 64, 0); err != nil {
 		return nil, err
 	}
-	s.mirror = sp.AllocHBM(store)
-	s.keysB = sp.AllocHBM(int64(cfg.MaxBatch) * 8)
-	s.valsB = sp.AllocHBM(int64(cfg.MaxBatch) * 8)
-	s.delsB = sp.AllocHBM(int64(cfg.MaxBatch) * 8)
-	s.getsB = sp.AllocHBM(int64(cfg.MaxBatch) * 8)
-	s.outB = sp.AllocHBM(int64(cfg.MaxBatch) * 8)
-	s.model = make([]uint64, cfg.Sets*kvstore.Ways*2)
+	s.model = make([]uint64, 2*s.store.Slots())
 	s.dedupShadow = make([]uint64, dedupSlots*2)
 	s.tally = make(map[ReqID]int)
 	s.mvcc = newMVCC()
 
-	// The empty store is durable from the start.
-	sp.PersistRange(s.pmFile.Mmap(), int(store))
-	sp.PersistRange(s.txFile.Mmap(), 8)
+	// The empty dedup state is durable from the start, like the store.
+	sp := s.env.Ctx.Space
 	sp.PersistRange(s.dedupFile.Mmap(), int(dedupTableBytes))
 	sp.PersistRange(s.jnlFile.Mmap(), int(dedupJnlBytes(cfg.MaxBatch)))
 	sp.PersistRange(s.oraFile.Mmap(), 64)
 
-	if s.logged() {
-		for _, g := range s.geoms {
-			log, err := s.env.Ctx.LogCreateHCL(logPath(g), logSizeFor(g), g, kvstore.TPB)
-			if err != nil {
+	if kvstore.Logged(s.mode) {
+		for i := range s.geoms {
+			g := &s.geoms[i]
+			if g.Log, err = s.store.CreateLog(logPath(g.Grid), g.Grid); err != nil {
 				return nil, err
 			}
-			s.logs = append(s.logs, log)
 		}
 	}
 	return s, nil
@@ -310,31 +279,28 @@ func NewShard(id int, cfg ShardConfig) (*Shard, error) {
 // logPath names the HCL log file for a g-block grid.
 func logPath(g int) string { return fmt.Sprintf("/pm/kvs.log.g%d", g) }
 
-// logSizeFor sizes a g-block HCL log for two undo entries per thread.
-func logSizeFor(g int) int64 {
-	return int64(g*kvstore.TPB)*2*kvstore.LogEntryBytes + 1<<16
-}
-
-// gridFor returns the smallest launch geometry whose grid covers nOps
-// thread groups (and therefore has a matching HCL log).
-func (s *Shard) gridFor(nOps int) int {
-	need := (nOps*kvstore.ThreadGroup + kvstore.TPB - 1) / kvstore.TPB
+// launchFor returns the smallest launch geometry whose grid covers nOps
+// thread groups, with its matching HCL log.
+func (s *Shard) launchFor(nOps int) kvstore.TxLog {
+	need := kvstore.GridFor(nOps)
 	for _, g := range s.geoms {
-		if g >= need {
+		if g.Grid >= need {
 			return g
 		}
 	}
-	return s.blocks
+	return s.geoms[len(s.geoms)-1]
 }
 
-// logFor returns the HCL log matching a g-block launch.
-func (s *Shard) logFor(g int) *gpm.Log {
-	for i, geom := range s.geoms {
-		if geom == g {
-			return s.logs[i]
+// commitLogs returns the distinct launches b's mutate kernels used — the
+// logs its commit must truncate.
+func (s *Shard) commitLogs(b *Batch) []kvstore.TxLog {
+	var logs []kvstore.TxLog
+	for _, n := range []int{len(b.SetKeys), len(b.DelKeys)} {
+		if l := s.launchFor(n); n > 0 && (len(logs) == 0 || logs[0].Grid != l.Grid) {
+			logs = append(logs, l)
 		}
 	}
-	panic(fmt.Sprintf("serve: no HCL log for %d-block grid", g))
+	return logs
 }
 
 // ID returns the shard index.
@@ -356,29 +322,13 @@ func (s *Shard) Env() *workloads.Env { return s.env }
 
 // SlotOf returns the store slot index a key maps to; the batcher uses it
 // for per-epoch conflict tracking and the hot-key cache.
-func (s *Shard) SlotOf(key uint64) int {
-	set, way := kvstore.HashKey(key, s.sets)
-	return set*kvstore.Ways + way
-}
+func (s *Shard) SlotOf(key uint64) int { return s.store.SlotOf(key) }
 
 // ModelPair returns the committed (key, value) pair of a slot — the state
 // acknowledged clients were promised, which the hot-key cache mirrors.
 // Only safe from the goroutine driving Apply.
 func (s *Shard) ModelPair(slot int) (key, val uint64) {
 	return s.model[slot*2], s.model[slot*2+1]
-}
-
-func (s *Shard) storeBytes() int64 {
-	return int64(s.sets) * kvstore.Ways * kvstore.PairBytes
-}
-
-func (s *Shard) slotAddr(base uint64, set, way int) uint64 {
-	return base + uint64((set*kvstore.Ways+way)*kvstore.PairBytes)
-}
-
-// logged reports whether this mode undo-logs mutations.
-func (s *Shard) logged() bool {
-	return s.mode.UsesGPM() || s.mode == workloads.GPMNDP
 }
 
 // checkBatch rejects batches that violate the kernel preconditions: size
@@ -418,257 +368,21 @@ func (s *Shard) checkBatch(b *Batch) error {
 	return nil
 }
 
-// stage ships the batch's operations to the GPU (cudaMemcpy HtoD).
-func (s *Shard) stage(b *Batch) {
-	sp := s.env.Ctx.Space
-	if len(b.SetKeys) > 0 {
-		sp.WriteCPU(s.keysB, u64Bytes(b.SetKeys))
-		sp.WriteCPU(s.valsB, u64Bytes(b.SetVals))
-	}
-	if len(b.DelKeys) > 0 {
-		sp.WriteCPU(s.delsB, u64Bytes(b.DelKeys))
-	}
-	if len(b.GetKeys) > 0 {
-		sp.WriteCPU(s.getsB, u64Bytes(b.GetKeys))
-	}
-	n := int64(len(b.SetKeys)*16 + len(b.DelKeys)*8 + len(b.GetKeys)*8)
-	s.env.Ctx.Timeline.Add("stage", sp.DMA.TransferDown(n))
-}
-
-func (s *Shard) setTxFlag(on bool) {
-	v := uint64(0)
-	if on {
-		v = 1
-	}
-	s.env.Ctx.RunCPU("tx-flag", 1, func(t *cpusim.Thread) {
-		t.WriteU64(s.txFile.Mmap(), v)
-		t.PersistRange(s.txFile.Mmap(), 8)
-	})
-}
-
-// mutateKernel runs the SET or DELETE kernel (a DELETE is a SET of the
-// empty pair): thread groups cooperate per op, the home-way thread logs the
-// old pair, updates mirror (and PM directly under GPM-class modes), and
-// persists under plain GPM/eADR. The grid is the smallest geometry covering
-// the batch's fill, and the undo log with that exact geometry is used — a
-// quarter-full epoch does not pay for a MaxBatch-sized launch.
-func (s *Shard) mutateKernel(segment string, keys, vals uint64, nOps int, del, logging bool) error {
-	if nOps == 0 {
-		return nil
-	}
-	sets := s.sets
-	pm := s.pmFile.Mmap()
-	mirror := s.mirror
-	grid := s.gridFor(nOps)
-	var log *gpm.Log
-	if logging {
-		log = s.logFor(grid)
-	}
-	direct := s.mode.UsesGPM() || s.mode == workloads.GPMNDP
-	persist := s.mode.UsesGPM()
-	var kerr error
-	s.env.Ctx.Launch(segment, grid, kvstore.TPB, func(t *gpu.Thread) {
-		gid := t.GlobalID()
-		op := gid / kvstore.ThreadGroup
-		if op >= nOps {
-			return
-		}
-		key := t.LoadU64(keys + uint64(op)*8)
-		t.Compute(kvstore.GPUOpCost)
-		set, way := kvstore.HashKey(key, sets)
-		if gid%kvstore.ThreadGroup != way {
-			return // each group thread probes its own way; only home proceeds
-		}
-		mAddr := s.slotAddr(mirror, set, way)
-		var newKey, newVal uint64
-		if del {
-			if t.LoadU64(mAddr) != key {
-				return // miss: nothing to delete
-			}
-		} else {
-			newKey = key
-			newVal = t.LoadU64(vals + uint64(op)*8)
-		}
-		if logging {
-			var entry [kvstore.LogEntryBytes]byte
-			binary.LittleEndian.PutUint32(entry[0:], uint32(set))
-			binary.LittleEndian.PutUint32(entry[4:], uint32(way))
-			binary.LittleEndian.PutUint64(entry[8:], t.LoadU64(mAddr))
-			binary.LittleEndian.PutUint64(entry[16:], t.LoadU64(mAddr+8))
-			if err := log.Insert(t, entry[:], -1); err != nil {
-				kerr = err
-				return
-			}
-		}
-		t.StoreU64(mAddr, newKey)
-		t.StoreU64(mAddr+8, newVal)
-		if direct {
-			pAddr := s.slotAddr(pm, set, way)
-			t.StoreU64(pAddr, newKey)
-			t.StoreU64(pAddr+8, newVal)
-			if persist {
-				gpm.Persist(t)
-			}
-		}
-	})
-	return kerr
-}
-
-// getKernel services batched GETs from the device-resident mirror.
-func (s *Shard) getKernel(nGets int) {
-	if nGets == 0 {
-		return
-	}
-	sets := s.sets
-	mirror, gets, out := s.mirror, s.getsB, s.outB
-	blocks := (nGets + kvstore.TPB - 1) / kvstore.TPB
-	s.env.Ctx.Launch("kvs-get", blocks, kvstore.TPB, func(t *gpu.Thread) {
-		i := t.GlobalID()
-		if i >= nGets {
-			return
-		}
-		key := t.LoadU64(gets + uint64(i)*8)
-		t.Compute(kvstore.GPUOpCost)
-		set, way := kvstore.HashKey(key, sets)
-		mAddr := s.slotAddr(mirror, set, way)
-		var val uint64
-		if t.LoadU64(mAddr) == key {
-			val = t.LoadU64(mAddr + 8)
-		}
-		t.StoreU64(out+uint64(i)*8, val)
-	})
-}
-
-// hostServe accounts the host side of the server (parse, dispatch,
-// response assembly) — identical work under every persistence system.
-func (s *Shard) hostServe(totalOps int) {
-	s.env.Ctx.RunCPU("kvs-serve", s.env.Cfg.CAPThreads, func(t *cpusim.Thread) {
-		per := (totalOps + t.N - 1) / t.N
-		mine := per
-		if t.ID*per+mine > totalOps {
-			mine = totalOps - t.ID*per
-		}
-		if mine > 0 {
-			t.Compute(sim.Duration(mine) * kvstore.HostOpCost)
-		}
-	})
-}
-
-// commit makes the batch durable and closes the transaction, per mode.
-func (s *Shard) commit(b *Batch, logging bool) error {
-	switch {
-	case s.mode.UsesGPM():
-		if logging {
-			s.env.PersistKernelBegin()
-			for _, grid := range s.usedGrids(b) {
-				log := s.logFor(grid)
-				s.env.Ctx.Launch("kvs-logclear", grid, kvstore.TPB, func(t *gpu.Thread) {
-					log.ClearIfUsed(t)
-				})
-			}
-			s.env.PersistKernelEnd()
-			s.setTxFlag(false)
-		}
-	case s.mode == workloads.GPMNDP:
-		// Kernels stored PM directly but the CPU must flush; it cannot know
-		// which slots changed, so the whole store flushes.
-		s.env.Cap.FlushOnly(s.pmFile.Mmap(), s.storeBytes())
-		if logging {
-			for _, grid := range s.usedGrids(b) {
-				s.logFor(grid).HostClearAll()
-			}
-			s.setTxFlag(false)
-		}
-	default:
-		// CAP: ship the touched pre-defined sections to the CPU to persist.
-		for _, run := range s.touchedSections(b) {
-			if err := workloads.PersistBuffer(s.env, s.pmFile, run.off, s.mirror+uint64(run.off), run.n); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// usedGrids returns the distinct launch geometries the batch's mutate
-// kernels used — the logs commit must truncate.
-func (s *Shard) usedGrids(b *Batch) []int {
-	var grids []int
-	if n := len(b.SetKeys); n > 0 {
-		grids = append(grids, s.gridFor(n))
-	}
-	if n := len(b.DelKeys); n > 0 {
-		if g := s.gridFor(n); len(grids) == 0 || g != grids[0] {
-			grids = append(grids, g)
-		}
-	}
-	return grids
-}
-
-type secRun struct{ off, n int64 }
-
-// touchedSections returns the merged section runs the batch's mutations
-// touch (CAP persists the store in 16 KB pre-defined chunks).
-func (s *Shard) touchedSections(b *Batch) []secRun {
-	nSections := (s.storeBytes() + kvstore.Section - 1) / kvstore.Section
-	touched := make([]bool, nSections)
-	for _, keys := range [][]uint64{b.SetKeys, b.DelKeys} {
-		for _, key := range keys {
-			touched[int64(s.SlotOf(key))*kvstore.PairBytes/kvstore.Section] = true
-		}
-	}
-	var runs []secRun
-	for sec := int64(0); sec < nSections; sec++ {
-		if !touched[sec] {
-			continue
-		}
-		e := sec
-		for e+1 < nSections && touched[e+1] {
-			e++
-		}
-		off := sec * kvstore.Section
-		end := (e + 1) * kvstore.Section
-		if end > s.storeBytes() {
-			end = s.storeBytes()
-		}
-		runs = append(runs, secRun{off, end - off})
-		sec = e
-	}
-	return runs
-}
-
 // commitModel applies an acknowledged batch to the committed-state oracle
 // and tallies each identified mutation — a correctly deduplicating server
 // never lets any request ID's tally pass 1. Versioned batches (VerKeys
 // set) tally from VerIDs — the full squashed logical history — and feed
 // the MVCC chains; the kernel arrays only carry per-slot winners there.
 func (s *Shard) commitModel(b *Batch) {
-	for i, key := range b.SetKeys {
-		slot := s.SlotOf(key)
-		s.model[slot*2] = key
-		s.model[slot*2+1] = b.SetVals[i]
-		if b.SetIDs != nil && !b.SetIDs[i].Zero() {
-			s.tally[b.SetIDs[i]]++
-		}
-	}
-	for i, key := range b.DelKeys {
-		slot := s.SlotOf(key)
-		if s.model[slot*2] == key {
-			s.model[slot*2] = 0
-			s.model[slot*2+1] = 0
-		}
-		if b.DelIDs != nil && !b.DelIDs[i].Zero() {
-			s.tally[b.DelIDs[i]]++
+	s.store.ApplyModel(s.model, b.SetKeys, b.SetVals, b.DelKeys)
+	for _, ids := range [][]ReqID{b.SetIDs, b.DelIDs, b.VerIDs} {
+		for _, id := range ids {
+			if !id.Zero() {
+				s.tally[id]++
+			}
 		}
 	}
 	if len(b.VerKeys) > 0 {
-		if b.VerIDs != nil {
-			for _, id := range b.VerIDs {
-				if !id.Zero() {
-					s.tally[id]++
-				}
-			}
-		}
 		s.mvccCommit(b)
 	} else if b.Mutations() > 0 {
 		s.mvccLegacyCommit(b)
@@ -731,9 +445,9 @@ func (s *Shard) apply(b *Batch, cp *ShardCrashPlan) (*BatchResult, error) {
 	start := ctx.Timeline.Total()
 	wall0 := time.Now()
 	spStage := ctx.SpanStart()
-	s.stage(b)
+	s.store.Stage(b.SetKeys, b.SetVals, b.DelKeys, b.GetKeys)
 	ctx.SpanEnd(telemetry.TrackPCIe, "serve-stage", "serve", spStage)
-	logging := s.logged() && b.Mutations() > 0
+	logging := kvstore.Logged(s.mode) && b.Mutations() > 0
 	wall1 := time.Now()
 
 	spKernel := ctx.SpanStart()
@@ -743,7 +457,7 @@ func (s *Shard) apply(b *Batch, cp *ShardCrashPlan) (*BatchResult, error) {
 		// once the flag is set, journal + HCL logs roll back the dedup table
 		// and the store as one transaction.
 		s.dedupJournal(b)
-		s.setTxFlag(true)
+		s.store.SetTxFlag(true)
 	}
 	if cp != nil && cp.Point == CrashBeforeKernel {
 		return nil, s.crashNow(cp, atRisk, "staged and armed, before mutate kernel")
@@ -753,8 +467,11 @@ func (s *Shard) apply(b *Batch, cp *ShardCrashPlan) (*BatchResult, error) {
 		after := cp.AbortAfterOps
 		ctx.Dev.SetAbortCheck(func(op int64) bool { return op >= after })
 	}
-	errSet := s.mutateKernel("kvs-set", s.keysB, s.valsB, len(b.SetKeys), false, logging)
-	errDel := s.mutateKernel("kvs-del", s.delsB, 0, len(b.DelKeys), true, logging)
+	// Each mutate launch uses the smallest grid covering its fill, and the
+	// undo log of exactly that geometry: a quarter-full epoch does not pay
+	// for a MaxBatch-sized launch.
+	errSet := s.store.Mutate(false, len(b.SetKeys), s.launchFor(len(b.SetKeys)))
+	errDel := s.store.Mutate(true, len(b.DelKeys), s.launchFor(len(b.DelKeys)))
 	if cp != nil && cp.Point == CrashMidKernel {
 		ctx.Dev.SetAbortCheck(nil)
 		s.env.PersistKernelEnd()
@@ -766,7 +483,7 @@ func (s *Shard) apply(b *Batch, cp *ShardCrashPlan) (*BatchResult, error) {
 	if errDel != nil {
 		return nil, errDel
 	}
-	s.getKernel(len(b.GetKeys))
+	s.store.Get(len(b.GetKeys))
 	s.env.PersistKernelEnd()
 	ctx.SpanEnd(telemetry.TrackKernel, "serve-kernel", "serve", spKernel)
 	if logging {
@@ -779,8 +496,12 @@ func (s *Shard) apply(b *Batch, cp *ShardCrashPlan) (*BatchResult, error) {
 	wall2 := time.Now()
 
 	spCommit := ctx.SpanStart()
-	s.hostServe(n)
-	if err := s.commit(b, logging); err != nil {
+	s.store.HostServe(n)
+	var logs []kvstore.TxLog
+	if logging {
+		logs = s.commitLogs(b)
+	}
+	if err := s.store.Commit(logs, b.SetKeys, b.DelKeys); err != nil {
 		return nil, err
 	}
 	if !logging {
@@ -793,10 +514,7 @@ func (s *Shard) apply(b *Batch, cp *ShardCrashPlan) (*BatchResult, error) {
 	ctx.SpanEnd(telemetry.TrackPersist, "serve-persist", "serve", spCommit)
 	wall3 := time.Now()
 
-	out := make([]uint64, len(b.GetKeys))
-	for i := range out {
-		out[i] = s.env.Ctx.Space.ReadU64(s.outB + uint64(i)*8)
-	}
+	out := s.store.GetResults(len(b.GetKeys))
 	s.commitModel(b)
 	s.dedupShadowAdvance(b)
 	if b.LogicalOps > 0 {
@@ -911,7 +629,7 @@ func (s *Shard) Restart() (sim.Duration, error) { return s.RestartWithRecrash(0,
 func (s *Shard) RestartWithRecrash(depth int, model pmem.FaultModel, fseed uint64) (sim.Duration, error) {
 	ctx := s.env.Ctx
 	start := ctx.Timeline.Total()
-	txSet := s.txFlagSet()
+	txSet := kvstore.Logged(s.mode) && s.store.TxFlagSet()
 	var replayed []int
 	var undone int64
 	recrashes := 0
@@ -941,13 +659,11 @@ func (s *Shard) RestartWithRecrash(depth int, model pmem.FaultModel, fseed uint6
 		}
 		replayed, undone = g, u
 		s.dedupJournalRestore()
-		s.setTxFlag(false)
+		s.store.SetTxFlag(false)
 	}
-	// Reload the working mirror from the durable store (DMA down), the
-	// restart cost every mode pays; the dedup shadow reloads the same way.
-	snap := ctx.Space.SnapshotPersistent(s.pmFile.Mmap(), int(s.storeBytes()))
-	ctx.Space.WriteCPU(s.mirror, snap)
-	ctx.Timeline.Add("restore", ctx.Space.DMA.TransferDown(s.storeBytes()))
+	// Reload the working mirror from the durable store, the restart cost
+	// every mode pays; the dedup shadow reloads the same way.
+	s.store.ReloadMirror()
 	s.dedupShadowReload()
 	s.oraShadowReload()
 	s.down = false
@@ -976,90 +692,41 @@ func recrashDetail(n int) string {
 	return fmt.Sprintf("survived %d nested re-crashes during replay", n)
 }
 
-// txFlagSet reads the durable transaction flag.
-func (s *Shard) txFlagSet() bool {
-	if !s.logged() {
-		return false
-	}
-	snap := s.env.Ctx.Space.SnapshotPersistent(s.txFile.Mmap(), 8)
-	return binary.LittleEndian.Uint64(snap) != 0
-}
-
 // recoverLogs replays every geometry's HCL log against the durable store
 // (Fig 6b), returning the geometries replayed and undo entries applied.
 func (s *Shard) recoverLogs() ([]int, int64, error) {
-	ctx := s.env.Ctx
-	pm := s.pmFile.Mmap()
-	sets := s.sets
 	var replayed []int
-	var undone atomic.Int64 // recovery kernel threads run concurrently
-	for i, g := range s.geoms {
-		log, err := ctx.LogOpen(logPath(g))
+	var undone int64
+	for i := range s.geoms {
+		g := &s.geoms[i]
+		log, err := s.env.Ctx.LogOpen(logPath(g.Grid))
 		if err != nil {
 			return nil, 0, err
 		}
-		s.logs[i] = log
-		replayed = append(replayed, g)
-		ctx.PersistBegin()
-		var kerr error
-		ctx.Launch("kvs-recover", g, kvstore.TPB, func(t *gpu.Thread) {
-			// Undo this thread's logged entries newest-first until its
-			// log partition is empty (Fig 6b).
-			var entry [kvstore.LogEntryBytes]byte
-			for log.Read(t, entry[:], -1) == nil {
-				set := int(binary.LittleEndian.Uint32(entry[0:]))
-				way := int(binary.LittleEndian.Uint32(entry[4:]))
-				if set >= sets || way >= kvstore.Ways {
-					kerr = fmt.Errorf("serve: corrupt log entry (set=%d way=%d)", set, way)
-					return
-				}
-				addr := s.slotAddr(pm, set, way)
-				t.StoreU64(addr, binary.LittleEndian.Uint64(entry[8:]))
-				t.StoreU64(addr+8, binary.LittleEndian.Uint64(entry[16:]))
-				gpm.Persist(t)
-				// Remove only after the undo is durable.
-				if err := log.Remove(t, kvstore.LogEntryBytes, -1); err != nil {
-					kerr = err
-					return
-				}
-				undone.Add(1)
-			}
-		})
-		ctx.PersistEnd()
-		if kerr != nil {
-			return nil, 0, kerr
+		g.Log = log
+		replayed = append(replayed, g.Grid)
+		n, err := s.store.Undo(*g)
+		if err != nil {
+			return nil, 0, err
 		}
+		undone += n
 	}
-	return replayed, undone.Load(), nil
+	return replayed, undone, nil
 }
 
 // Verify checks that the DURABLE store matches the committed-state oracle
 // slot by slot — acknowledged mutations present, unacknowledged ones absent.
 func (s *Shard) Verify() error {
-	snap := s.env.Ctx.Space.SnapshotPersistent(s.pmFile.Mmap(), int(s.storeBytes()))
-	for slot := 0; slot < s.sets*kvstore.Ways; slot++ {
-		key := binary.LittleEndian.Uint64(snap[slot*kvstore.PairBytes:])
-		val := binary.LittleEndian.Uint64(snap[slot*kvstore.PairBytes+8:])
-		if key != s.model[slot*2] || val != s.model[slot*2+1] {
-			err := fmt.Errorf("serve: shard %d durable slot %d = (%d,%d), want (%d,%d)",
-				s.id, slot, key, val, s.model[slot*2], s.model[slot*2+1])
-			s.audit.Record(obs.AuditEvent{
-				Type: obs.AuditVerify, Shard: s.id, Mode: s.mode.String(),
-				Outcome: "fail", Err: err.Error(),
-			})
-			return err
-		}
+	if err := s.store.CheckDurable(s.model); err != nil {
+		err = fmt.Errorf("serve: shard %d %w", s.id, err)
+		s.audit.Record(obs.AuditEvent{
+			Type: obs.AuditVerify, Shard: s.id, Mode: s.mode.String(),
+			Outcome: "fail", Err: err.Error(),
+		})
+		return err
 	}
 	s.audit.Record(obs.AuditEvent{
 		Type: obs.AuditVerify, Shard: s.id, Mode: s.mode.String(), Outcome: "ok",
 	})
 	return nil
-}
-
-func u64Bytes(vals []uint64) []byte {
-	out := make([]byte, len(vals)*8)
-	for i, v := range vals {
-		binary.LittleEndian.PutUint64(out[i*8:], v)
-	}
-	return out
 }

@@ -299,8 +299,7 @@ func (s *Server) serveV2(line string, st *connState, instant func(string), futur
 		// A snapshot is the oracle's stable floor: every commit unit at or
 		// below it has group-committed or rolled back. Registering it pins
 		// the version-chain GC watermark until the transaction ends.
-		snap := s.oracle.snapshot()
-		s.snaps.acquire(snap)
+		snap := s.snaps.begin(s.oracle)
 		st.hold(snap)
 		instant(idLine(q.rid, "BEGIN "+strconv.FormatUint(snap, 10)))
 	case 'A':

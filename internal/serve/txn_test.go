@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -441,6 +442,50 @@ func TestTxnGCWatermarkSafety(t *testing.T) {
 	}
 	if got := rt(fmt.Sprintf("GET 9 @%d", snap)); got != "ERR snapshot too old" {
 		t.Errorf("released snapshot read -> %q, want ERR snapshot too old", got)
+	}
+}
+
+// A GC pass issued between a BEGIN's floor read and its pin must not raise
+// the MVCC floor above the snapshot BEGIN hands out. The interleaving is
+// forced: holding the registry lock parks BEGIN right after its floor read
+// (it owns the oracle lock and waits to pin), and only then does the open
+// epoch commit and the batcher's GC pass start. Reading and pinning in two
+// steps, that pass would trim to the new floor and the transaction's first
+// snapshot read would answer "snapshot too old".
+func TestBeginSnapshotSurvivesGCBeforePin(t *testing.T) {
+	o, sr, m := newOracle(0), newSnapRegistry(), newMVCC()
+	ts1 := o.alloc(1)
+	m.commitVer(9, 1, false, ts1, 0)
+	o.release(ts1)
+	ts2 := o.alloc(1) // an epoch still in flight: the floor stays at ts1
+
+	sr.mu.Lock()
+	began := make(chan uint64)
+	go func() { began <- sr.begin(o) }()
+	for o.mu.TryLock() { // wait until BEGIN holds the oracle lock
+		o.mu.Unlock()
+		runtime.Gosched()
+	}
+	gcDone := make(chan struct{})
+	go func() {
+		// The applier folds ts2's version in, the batcher retires the epoch
+		// and runs a GC pass (onCommit).
+		m.commitVer(9, 2, false, ts2, 0)
+		o.release(ts2)
+		m.gc(sr.watermark(o))
+		close(gcDone)
+	}()
+	sr.mu.Unlock()
+	snap := <-began
+	<-gcDone
+	if snap != ts1 {
+		t.Fatalf("BEGIN snapshot = %d, want the floor it read before the commit (%d)", snap, ts1)
+	}
+	if val, found, tooOld := m.readAt(9, snap); tooOld || !found || val != 1 {
+		t.Errorf("read @%d after GC = (%d, found %v, too old %v), want 1", snap, val, found, tooOld)
+	}
+	if wm := sr.watermark(o); wm != ts1 {
+		t.Errorf("watermark with the snapshot pinned = %d, want %d", wm, ts1)
 	}
 }
 
