@@ -1,14 +1,11 @@
 package serve
 
 import (
-	"bufio"
-	"bytes"
 	"errors"
 	"fmt"
 	"net"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -83,11 +80,13 @@ func (c *Config) Normalize() error {
 	return nil
 }
 
-// request is one parsed client operation in flight.
+// request is one parsed client operation (see parseLine for its ops); the
+// ones that reach a shard are 'S', 'G', 'D' and 'C' (transaction COMMIT).
 type request struct {
-	op       byte // 'S', 'G', 'D', 'C' (transaction COMMIT)
+	op       byte
 	key      uint64
 	val      uint64
+	snap     uint64        // snapshot of a GET @snap, ABORT or COMMIT
 	id       uint64        // admission ID (server-wide, monotone; trace sampling key)
 	rid      ReqID         // client-assigned ID (zero for legacy unidentified ops)
 	fpr      uint64        // payload fingerprint (op, key, val) for ID-reuse detection
@@ -107,13 +106,11 @@ type request struct {
 // line prefixes a reply body with the request's ID, echoing what the
 // client sent ("@7.42 OK") so retried requests match replies by identity
 // rather than by stream position.
-func (r *request) line(body string) string { return idLine(r.rid, body) }
-
-func idLine(rid ReqID, body string) string {
-	if rid.Zero() {
+func (r *request) line(body string) string {
+	if r.rid.Zero() {
 		return body
 	}
-	return rid.String() + " " + body
+	return r.rid.String() + " " + body
 }
 
 // fingerprint condenses a request payload for ID-reuse detection: a
@@ -139,32 +136,12 @@ func opName(op byte) string {
 	}
 }
 
-// Server accepts TCP connections speaking a line protocol —
-//
-//	SET <key> <value>  ->  OK
-//	GET <key>          ->  VALUE <value> | NOTFOUND
-//	DEL <key>          ->  OK
-//	PING               ->  PONG
-//
-// (keys and values are decimal uint64, >= 1) — and dispatches requests to
-// per-shard pipeline workers. Replies are written in request order per
-// connection, each only after the persist epoch containing its mutation is
-// durable (reads with no pending write may be served from the hot-key
-// cache, whose contents are committed state by construction).
-//
-// Any request may carry a client-assigned identity prefix,
-//
-//	@<cid>.<seq> SET <key> <value>  ->  @<cid>.<seq> OK
-//
-// (cid and seq decimal uint64 >= 1; the reply echoes the prefix). An
-// identified request is exactly-once: retrying it — after a dropped
-// connection, an injected duplicate, or a server crash-restart — replays
-// the original reply instead of re-applying the mutation. A reply of
-// "RETRY" means a crash interrupted the request before its acknowledgement
-// and the client should resend it verbatim. Each client must issue its
-// seqs in increasing order per connection (retries resend old seqs first);
-// the dedup window spans restarts because per-client high-water marks
-// commit with the batch transaction in persistent memory.
+// Server accepts TCP connections speaking the line protocol of conn.go
+// and dispatches requests to per-shard pipeline workers. Replies are
+// written in request order per connection, each only after the persist
+// epoch containing its mutation is durable (reads with no pending write may
+// be served from the hot-key cache, whose contents are committed state by
+// construction).
 type Server struct {
 	cfg     Config
 	workers []*shardWorker
@@ -418,155 +395,6 @@ func (s *Server) Shutdown(timeout time.Duration) {
 // shardFor routes a key to its partition.
 func (s *Server) shardFor(key uint64) *shardWorker {
 	return s.workers[key%uint64(len(s.workers))]
-}
-
-func (s *Server) handleConn(c net.Conn) {
-	defer s.connWG.Done()
-	defer func() {
-		s.mu.Lock()
-		delete(s.conns, c)
-		s.mu.Unlock()
-		c.Close()
-	}()
-
-	// Replies go out in request order: the reader enqueues one future per
-	// request; the writer resolves them FIFO, so pipelining across epochs
-	// and cache hits cannot reorder a connection's replies.
-	futures := make(chan chan string, 2*s.cfg.QueueDepth)
-	var wWG sync.WaitGroup
-	wWG.Add(1)
-	go func() {
-		defer wWG.Done()
-		bw := bufio.NewWriter(c)
-		for f := range futures {
-			line := <-f
-			bw.WriteString(line)
-			bw.WriteByte('\n')
-			// Flush when no more replies are immediately ready.
-			if len(futures) == 0 {
-				bw.Flush()
-			}
-		}
-		bw.Flush()
-	}()
-
-	instant := func(line string) {
-		f := make(chan string, 1)
-		f <- line
-		futures <- f
-	}
-	// Per-connection protocol state: negotiated version (1 until a HELLO
-	// upgrades it) and the snapshots this connection holds open.
-	st := &connState{ver: 1}
-	sc := bufio.NewScanner(c)
-	sc.Buffer(make([]byte, 4096), 1<<16)
-	// Only newline-terminated lines are requests. A connection that dies
-	// mid-write (crash, reset) leaves a torn final line, and a torn prefix
-	// can parse as a VALID shorter request — e.g. a multi-key COMMIT cut
-	// after its first write — which would then execute under the full
-	// request's ID and absorb the client's retry into a lost update. Drop
-	// the unterminated tail instead: the client never saw an ack, so its
-	// retry re-sends the whole line on a fresh connection.
-	sc.Split(func(data []byte, atEOF bool) (int, []byte, error) {
-		if i := bytes.IndexByte(data, '\n'); i >= 0 {
-			return i + 1, bytes.TrimSuffix(data[:i], []byte{'\r'}), nil
-		}
-		if atEOF {
-			return 0, nil, bufio.ErrFinalToken // torn tail: discard, stop
-		}
-		return 0, nil, nil
-	})
-	for sc.Scan() {
-		line := sc.Text()
-		// HELLO is the version-negotiation escape hatch: legal on any
-		// connection (v1 clients simply never send it), answered before the
-		// draining gate like PING.
-		if rid, ver, ok := parseHello(line); ok {
-			if ver < 1 {
-				instant(idLine(rid, "ERR protocol version must be >= 1"))
-				continue
-			}
-			if ver > maxProtoVersion {
-				ver = maxProtoVersion
-			}
-			st.ver = ver
-			instant(idLine(rid, fmt.Sprintf("HELLO %d %d", ver, len(s.workers))))
-			continue
-		}
-		if st.ver >= 2 {
-			s.serveV2(line, st, instant, futures)
-			continue
-		}
-		op, key, val, rid, err := parseRequest(line)
-		if err != nil {
-			instant(idLine(rid, "ERR "+err.Error()))
-			continue
-		}
-		if op == 'P' {
-			instant(idLine(rid, "PONG"))
-			continue
-		}
-		if s.draining.Load() {
-			instant(idLine(rid, "ERR server draining"))
-			s.cRejected.Inc()
-			continue
-		}
-		r := &request{op: op, key: key, val: val, id: s.nextID.Add(1), rid: rid, enq: time.Now(), done: make(chan string, 1)}
-		if !rid.Zero() {
-			r.fpr = fingerprint(op, key, val)
-		}
-		s.shardFor(key).reqs <- r
-		futures <- r.done
-	}
-	close(futures)
-	wWG.Wait()
-	st.releaseAll(s.snaps)
-}
-
-// parseRequest parses one protocol line. op 'P' means PING. An optional
-// leading "@<cid>.<seq>" token assigns the request a client identity.
-func parseRequest(line string) (op byte, key, val uint64, rid ReqID, err error) {
-	fields := strings.Fields(line)
-	if len(fields) > 0 && strings.HasPrefix(fields[0], "@") {
-		cidS, seqS, ok := strings.Cut(fields[0][1:], ".")
-		if !ok {
-			return 0, 0, 0, rid, fmt.Errorf("request id must be @<cid>.<seq>")
-		}
-		rid.CID, err = strconv.ParseUint(cidS, 10, 64)
-		if err == nil {
-			rid.Seq, err = strconv.ParseUint(seqS, 10, 64)
-		}
-		if err != nil || rid.CID == 0 || rid.Seq == 0 {
-			return 0, 0, 0, ReqID{}, fmt.Errorf("request id parts must be decimal integers >= 1")
-		}
-		fields = fields[1:]
-	}
-	if len(fields) == 0 {
-		return 0, 0, 0, rid, fmt.Errorf("empty request")
-	}
-	verb := strings.ToUpper(fields[0])
-	argc := map[string]int{"SET": 2, "GET": 1, "DEL": 1, "PING": 0}
-	n, ok := argc[verb]
-	if !ok {
-		return 0, 0, 0, rid, fmt.Errorf("unknown verb %q", fields[0])
-	}
-	if len(fields)-1 != n {
-		return 0, 0, 0, rid, fmt.Errorf("%s takes %d argument(s)", verb, n)
-	}
-	if verb == "PING" {
-		return 'P', 0, 0, rid, nil
-	}
-	key, err = strconv.ParseUint(fields[1], 10, 64)
-	if err != nil || key == 0 {
-		return 0, 0, 0, rid, fmt.Errorf("key must be a decimal integer >= 1")
-	}
-	if verb == "SET" {
-		val, err = strconv.ParseUint(fields[2], 10, 64)
-		if err != nil || val == 0 {
-			return 0, 0, 0, rid, fmt.Errorf("value must be a decimal integer >= 1")
-		}
-	}
-	return verb[0], key, val, rid, nil
 }
 
 // slotStage is the staged final image of one store slot inside one epoch:
@@ -1042,7 +870,7 @@ func (w *shardWorker) admitTxn(r *request, now time.Time, cliFloor uint64) {
 		for _, k := range t.keys {
 			slot := w.shard.SlotOf(k)
 			_, staged := w.lastMut[slot]
-			if staged || w.shard.MVCCLatestTS(k) > t.snap {
+			if staged || w.shard.MVCCLatestTS(k) > r.snap {
 				line := r.line("ABORT " + strconv.FormatUint(k, 10))
 				w.cTxnAborts.Inc()
 				if !r.rid.Zero() {
