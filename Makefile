@@ -32,7 +32,7 @@ sim-digest:
 # Deterministic crash-campaign smoke: every recoverable workload, all four
 # fault models, swept crash points, one nested re-crash per recovery.
 recover-smoke:
-	$(GO) run ./cmd/gpmrecover -quick -sweep -maxpoints 2 -recrash-depth 1
+	$(GO) run ./cmd/gpmrecover -quick -maxpoints 2 -recrash-depth 1
 
 # chaos_campaign runs the serve chaos campaign with extra flags $(1), which
 # must pass, then its negative control $(2), which MUST be caught. gpmchaos

@@ -1,17 +1,16 @@
-// Command gpmrecover is the crash-injection stress tool (§6.2, the NVBitFI
+// Command gpmrecover is the crash-injection campaign tool (§6.2, the NVBitFI
 // analog) grown into a recovery auditor: it aborts the GPU mid-execution,
 // simulates the power failure under an adversarial persistence fault model
 // (clean rollback, torn lines, torn 8-byte words, reordered persists),
 // optionally fails the power again while recovery runs, drives the
 // workload's recovery procedure, and verifies the result byte-exactly.
 //
-//	gpmrecover -runs 5                      # random crash points, every mode
-//	gpmrecover -workload gpKVS              # stress one workload
-//	gpmrecover -sweep                       # deterministic campaign: all
+//	gpmrecover                              # deterministic campaign: all
 //	                                        # models x swept crash points
-//	gpmrecover -sweep -recrash-depth 2      # also re-crash during recovery
-//	gpmrecover -sweep -json                 # machine-readable records
-//	gpmrecover -sweep -workers 8            # parallel sweep (same verdicts)
+//	gpmrecover -workload gpKVS              # one workload
+//	gpmrecover -recrash-depth 2             # also re-crash during recovery
+//	gpmrecover -json                        # machine-readable records
+//	gpmrecover -workers 8                   # parallel sweep (same verdicts)
 //	gpmrecover -workload gpKVS -mode GPM -faultmodel torn-lines \
 //	    -crashat 1234 -faultseed 99         # replay one shrunk failure
 package main
@@ -35,26 +34,20 @@ import (
 // happens before any simulation work, with exit 2 + usage, instead of a
 // silent fall-back to defaults mid-run.
 type cliOptions struct {
-	runs, points, depth, workers, faultLim int
-	stride, every, crashAt                 int64
-	models, mode                           string
-	sweep                                  bool
+	points, depth, workers, faultLim int
+	stride, every, crashAt           int64
+	models, mode                     string
 }
 
 // validateCLI checks cross-flag consistency and value ranges. Notably:
-// unknown -faultmodel names are rejected in every execution path (the
-// legacy stress path used to ignore the flag entirely, so a typo silently
-// ran the clean model), and a -faultmodel or -mode that the selected path
-// would ignore is an error rather than a no-op.
+// unknown -faultmodel names are rejected in every execution path, and a
+// -mode that the campaign would ignore is an error rather than a no-op.
 func validateCLI(o cliOptions) error {
 	if o.workers < 1 {
 		return fmt.Errorf("-workers must be >= 1, got %d (1 = serial reference; default = GOMAXPROCS)", o.workers)
 	}
 	if o.workers > workloads.MaxWorkers {
 		return fmt.Errorf("-workers must be <= %d, got %d (results are identical for every value; more workers than runs buys nothing)", workloads.MaxWorkers, o.workers)
-	}
-	if o.runs < 1 {
-		return fmt.Errorf("-runs must be >= 1, got %d", o.runs)
 	}
 	if o.points < 1 {
 		return fmt.Errorf("-maxpoints must be >= 1, got %d", o.points)
@@ -75,9 +68,6 @@ func validateCLI(o cliOptions) error {
 		return fmt.Errorf("-faultmodel: %w (valid: %s)", err, strings.Join(modelNames(), ", "))
 	}
 	replaying := o.crashAt >= 0
-	if o.models != "" && !o.sweep && !replaying {
-		return fmt.Errorf("-faultmodel only applies with -sweep or -crashat replay (legacy stress always uses the clean model)")
-	}
 	if o.mode != "" {
 		if !replaying {
 			return fmt.Errorf("-mode only applies to -crashat replay")
@@ -103,12 +93,10 @@ func modelNames() []string {
 
 func main() {
 	var (
-		runs      = flag.Int("runs", 3, "random crash points per workload (legacy stress mode)")
 		only      = flag.String("workload", "", "restrict to one workload name")
-		seed      = flag.Uint64("seed", 7, "campaign / crash-point generator seed")
+		seed      = flag.Uint64("seed", 7, "campaign seed (anchors every derived fault seed)")
 		quick     = flag.Bool("quick", true, "use the smaller test-scale configuration")
-		sweep     = flag.Bool("sweep", false, "run the deterministic campaign instead of random stress")
-		models    = flag.String("faultmodel", "", "fault model(s), comma-separated (clean, torn-lines, torn-words, reorder); empty = all in -sweep, clean otherwise")
+		models    = flag.String("faultmodel", "", "fault model(s), comma-separated (clean, torn-lines, torn-words, reorder); empty = all in the campaign, clean in -crashat replay")
 		points    = flag.Int("maxpoints", crash.DefaultPoints, "swept crash points per (mode, model) pair")
 		stride    = flag.Int64("stride", 0, "crash at every stride-th op (0 = derive from -maxpoints)")
 		depth     = flag.Int("recrash-depth", 0, "nested crashes injected during recovery")
@@ -127,10 +115,9 @@ func main() {
 	flag.Parse()
 
 	if err := validateCLI(cliOptions{
-		runs: *runs, points: *points, depth: *depth, workers: *workers, faultLim: *faultLim,
+		points: *points, depth: *depth, workers: *workers, faultLim: *faultLim,
 		stride: *stride, every: *every, crashAt: *crashAt,
 		models: *models, mode: *modeName,
-		sweep: *sweep,
 	}); err != nil {
 		fmt.Fprintln(os.Stderr, "gpmrecover:", err)
 		flag.Usage()
@@ -160,13 +147,10 @@ func main() {
 	}
 
 	var code int
-	switch {
-	case *crashAt >= 0:
+	if *crashAt >= 0 {
 		code = replay(mks, cfg, *modeName, *models, *crashAt, *faultSeed, *faultLim, *depth, *every)
-	case *sweep:
+	} else {
 		code = campaign(mks, cfg, *seed, *stride, *points, *models, *depth, *every, *workers, *shrink, *asJSON)
-	default:
-		code = stress(mks, cfg, *seed, *runs)
 	}
 	if tel != nil {
 		if err := os.WriteFile(*metricsTo, []byte(tel.Metrics.TSV()), 0o644); err != nil {
@@ -207,34 +191,6 @@ func parseModels(spec string) ([]pmem.FaultModel, error) {
 		out = append(out, m)
 	}
 	return out, nil
-}
-
-// stress is the legacy mode: random second-half crash points under the
-// clean fault model, every crash-study mode the workload supports.
-func stress(mks []func() workloads.Crasher, cfg workloads.Config, seed uint64, runs int) int {
-	injector := crash.NewInjector(seed)
-	failures, total := 0, 0
-	for _, mk := range mks {
-		name := mk().Name()
-		for i := 0; i < runs; i++ {
-			results, err := injector.StressAll(mk, cfg)
-			total += len(results)
-			if err != nil {
-				total++
-				failures++
-				fmt.Printf("FAIL %-12s run %d: %v\n", name, i, err)
-			}
-			for _, res := range results {
-				fmt.Printf("ok   %-12s run %d: %-9s crashed@op %d, restored in %v (%.2f%% of op time)\n",
-					name, i, res.Mode, res.CrashAt, res.Report.Restore, res.Report.RestoreFraction()*100)
-			}
-		}
-	}
-	fmt.Printf("\n%d/%d crash-recovery runs verified\n", total-failures, total)
-	if failures > 0 {
-		return 1
-	}
-	return 0
 }
 
 // campaign runs the deterministic sweep.

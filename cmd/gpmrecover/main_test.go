@@ -9,12 +9,11 @@ import (
 
 // base returns a valid option set; cases mutate one field at a time.
 func base() cliOptions {
-	return cliOptions{runs: 3, points: 4, workers: 2, crashAt: -1}
+	return cliOptions{points: 4, workers: 2, crashAt: -1}
 }
 
 // Flag validation must reject values that previously fell back to defaults
-// silently — most importantly an unknown or ignored -faultmodel, which the
-// legacy stress path used to drop on the floor.
+// silently — most importantly an unknown -faultmodel.
 func TestValidateCLI(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -22,21 +21,18 @@ func TestValidateCLI(t *testing.T) {
 		wantErr string // "" = valid
 	}{
 		{"defaults", func(o *cliOptions) {}, ""},
-		{"sweep with models", func(o *cliOptions) { o.sweep = true; o.models = "torn-lines,reorder" }, ""},
+		{"sweep with models", func(o *cliOptions) { o.models = "torn-lines,reorder" }, ""},
 		{"replay", func(o *cliOptions) { o.crashAt = 100; o.mode = "GPM"; o.models = "torn-words" }, ""},
 		{"workers zero", func(o *cliOptions) { o.workers = 0 }, "-workers"},
 		{"workers negative", func(o *cliOptions) { o.workers = -1 }, "-workers"},
 		{"workers absurd", func(o *cliOptions) { o.workers = 1 << 20 }, "-workers"},
 		{"workers at cap", func(o *cliOptions) { o.workers = workloads.MaxWorkers }, ""},
-		{"runs zero", func(o *cliOptions) { o.runs = 0 }, "-runs"},
 		{"maxpoints zero", func(o *cliOptions) { o.points = 0 }, "-maxpoints"},
 		{"negative stride", func(o *cliOptions) { o.stride = -5 }, "-stride"},
 		{"negative depth", func(o *cliOptions) { o.depth = -1 }, "-recrash-depth"},
 		{"negative every", func(o *cliOptions) { o.every = -1 }, "-recrash-every"},
 		{"negative faultlimit", func(o *cliOptions) { o.faultLim = -2 }, "-faultlimit"},
-		{"unknown model in sweep", func(o *cliOptions) { o.sweep = true; o.models = "torn-pages" }, "-faultmodel"},
-		{"unknown model in stress", func(o *cliOptions) { o.models = "bogus" }, "-faultmodel"},
-		{"valid model ignored by stress", func(o *cliOptions) { o.models = "torn-lines" }, "only applies"},
+		{"unknown model in sweep", func(o *cliOptions) { o.models = "torn-pages" }, "-faultmodel"},
 		{"mode without replay", func(o *cliOptions) { o.mode = "GPM" }, "-mode"},
 		{"unknown mode in replay", func(o *cliOptions) { o.crashAt = 5; o.mode = "TURBO" }, "unknown mode"},
 		{"model list in replay", func(o *cliOptions) { o.crashAt = 5; o.models = "clean,reorder" }, "exactly one"},
@@ -66,7 +62,6 @@ func TestValidateCLI(t *testing.T) {
 // is actionable.
 func TestValidateCLIListsModels(t *testing.T) {
 	o := base()
-	o.sweep = true
 	o.models = "nope"
 	err := validateCLI(o)
 	if err == nil {

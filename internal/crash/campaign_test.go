@@ -43,6 +43,10 @@ func TestCampaignAllWorkloads(t *testing.T) {
 					t.Errorf("%s/%s/%s@%d seed=%d: %s",
 						r.Workload, r.Mode, r.Model, r.CrashAt, r.FaultSeed, r.Err)
 				}
+				if r.CrashAt <= 0 || r.RestoreUS < 0 {
+					t.Errorf("%s/%s/%s: odd record: crash at op %d, restore %g us",
+						r.Workload, r.Mode, r.Model, r.CrashAt, r.RestoreUS)
+				}
 			}
 		})
 	}

@@ -1,5 +1,5 @@
 // Package crash is the NVBitFI analog (§6.2) grown into a recovery
-// auditor: it injects crashes at chosen or pseudo-random points during GPU
+// auditor: it injects crashes at swept or replayed points during GPU
 // execution, simulates the power failure under an adversarial persistence
 // fault model (torn lines, torn words, reordered persists), optionally
 // fails the power again while recovery is running, drives the workload's
@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"sync"
 
-	"github.com/gpm-sim/gpm/internal/sim"
 	"github.com/gpm-sim/gpm/internal/workloads"
 )
 
@@ -21,23 +20,11 @@ import (
 // whose drained caches make every crash friendly (a useful control).
 var CrashStudyModes = []workloads.Mode{workloads.GPM, workloads.GPMeADR}
 
-// Injector drives randomized crash-recovery stress runs.
-type Injector struct {
-	rng   *sim.RNG
-	calib calibCache
-}
-
-// NewInjector returns an injector with a deterministic crash-point stream.
-func NewInjector(seed uint64) *Injector {
-	return &Injector{rng: sim.NewRNG(seed)}
-}
-
 // calibCache memoizes CountOps results per (workload, mode). The op count is
-// a function of (workload, mode, cfg); the cache lives inside one Injector or
-// Campaign, which by construction runs with a single Config, so the key can
-// omit it. This hoists the sacrificial calibration run out of sweep loops:
-// one run per (workload, mode) instead of one per crash point or per Stress
-// call.
+// a function of (workload, mode, cfg); the cache lives inside one Campaign,
+// which by construction runs with a single Config, so the key can omit it.
+// This hoists the sacrificial calibration run out of sweep loops: one run
+// per (workload, mode) instead of one per crash point.
 type calibCache struct {
 	mu sync.Mutex
 	m  map[string]int64
@@ -62,60 +49,6 @@ func (c *calibCache) countOps(mk func() workloads.Crasher, name string, mode wor
 	c.m[key] = n
 	c.mu.Unlock()
 	return n, nil
-}
-
-// Result reports one stress run.
-type Result struct {
-	Mode    workloads.Mode
-	CrashAt int64 // device-operation index of the injected fault
-	Report  *workloads.Report
-}
-
-// Stress measures a workload's operation count on a sacrificial instance
-// (memoized per (workload, mode) across calls, so repeated stress runs pay
-// for calibration once), crashes a fresh instance at a random point in the
-// second half of
-// execution (so recovery has real state to work with), recovers, verifies,
-// and reports. An error means recovery produced incorrect state — the §6.2
-// experiment failing.
-func (in *Injector) Stress(mk func() workloads.Crasher, mode workloads.Mode, cfg workloads.Config) (*Result, error) {
-	total, err := in.calib.countOps(mk, mk().Name(), mode, cfg)
-	if err != nil {
-		return nil, fmt.Errorf("calibration: %w", err)
-	}
-	if total < 4 {
-		return nil, fmt.Errorf("workload too small to crash (only %d ops)", total)
-	}
-	// Crash in the second half: late enough that transactional workloads
-	// are mid-batch and checkpointing ones have a checkpoint to restore.
-	crashAt := total/2 + in.rng.Int63n(total/2-1) + 1
-	rep, err := workloads.RunWorkload(mk(), workloads.WithMode(mode), workloads.WithConfig(cfg), workloads.WithCrashAt(crashAt))
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Mode: mode, CrashAt: crashAt, Report: rep}, nil
-}
-
-// StressAll stresses the workload under every crash-study mode it Supports
-// and returns one result per mode. The first recovery failure aborts the
-// sweep and is returned alongside the results collected so far.
-func (in *Injector) StressAll(mk func() workloads.Crasher, cfg workloads.Config) ([]*Result, error) {
-	var out []*Result
-	w := mk()
-	for _, mode := range CrashStudyModes {
-		if !w.Supports(mode) {
-			continue
-		}
-		res, err := in.Stress(mk, mode, cfg)
-		if err != nil {
-			return out, fmt.Errorf("%s under %s: %w", w.Name(), mode, err)
-		}
-		out = append(out, res)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("%s supports no crash-study mode", w.Name())
-	}
-	return out, nil
 }
 
 // CountOps runs the workload once under mode with a never-firing abort
