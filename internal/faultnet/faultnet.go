@@ -1,5 +1,5 @@
 // Package faultnet is the network analogue of pmem.FaultModel: a
-// schedule-driven fault-injecting net.Conn / net.Listener / dialer wrapper
+// schedule-driven fault-injecting net.Conn and dialer wrapper
 // whose fault placement is a pure function of (seed, schedule, connection
 // index, operation index). The same (seed, schedule) pair always produces
 // byte-identical fault placement on a given connection stream — injected
@@ -138,8 +138,7 @@ type Fault struct {
 	Arg   int64
 }
 
-// Stats aggregates injected faults across every connection of one wrapper
-// (listener or dialer). All fields are atomics; read with the getters.
+// Stats aggregates injected faults across every connection of one Dialer. All fields are atomics; read with the getters.
 type Stats struct {
 	conns, resets, dups, partials, stalls, latencies atomic.Int64
 }
@@ -365,33 +364,6 @@ func (c *Conn) dupLines(writeIdx int64, p []byte) []byte {
 	}
 	return out
 }
-
-// Listener wraps a net.Listener so every accepted connection carries the
-// schedule; connection IDs are assigned in accept order.
-type Listener struct {
-	net.Listener
-	sched  Schedule
-	seed   uint64
-	nextID atomic.Uint64
-	stats  Stats
-}
-
-// WrapListener places sched on every connection ln accepts.
-func WrapListener(ln net.Listener, sched Schedule, seed uint64) *Listener {
-	return &Listener{Listener: ln, sched: sched, seed: seed}
-}
-
-// Accept wraps the next accepted connection.
-func (l *Listener) Accept() (net.Conn, error) {
-	c, err := l.Listener.Accept()
-	if err != nil {
-		return nil, err
-	}
-	return Wrap(c, l.sched, l.seed, l.nextID.Add(1), &l.stats), nil
-}
-
-// Stats exposes the listener's aggregate injection counters.
-func (l *Listener) Stats() *Stats { return &l.stats }
 
 // Dialer wraps a dial function so every outbound connection carries the
 // schedule; connection IDs are assigned in dial order.

@@ -163,14 +163,13 @@ func TestResetKillsConn(t *testing.T) {
 	}
 }
 
-// TestStatsAggregate: listener-level counters see every connection.
+// TestStatsAggregate: dialer-level counters see every connection.
 func TestStatsAggregate(t *testing.T) {
 	pl := NewPipeListener()
-	fl := WrapListener(pl, Schedule{DupEvery: 1}, 5)
-	defer fl.Close()
+	defer pl.Close()
 	go func() {
 		for {
-			c, err := fl.Accept()
+			c, err := pl.Accept()
 			if err != nil {
 				return
 			}
@@ -180,22 +179,22 @@ func TestStatsAggregate(t *testing.T) {
 			}()
 		}
 	}()
+	d := NewDialer(pl.Dial, Schedule{DupEvery: 1}, 5)
 	for i := 0; i < 3; i++ {
-		// Dial returns the raw client end; the wrapped (faulted) end lives
-		// server-side, where the listener wraps it... so write through it.
-		c, err := pl.Dial()
+		c, err := d.Dial()
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.Write([]byte("PING\n"))
+		if _, err := c.Write([]byte("PING\n")); err != nil {
+			t.Fatal(err)
+		}
 		c.Close()
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for fl.Stats().Conns() < 3 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
+	if got := d.Stats().Conns(); got != 3 {
+		t.Fatalf("dialer wrapped %d conns, want 3", got)
 	}
-	if fl.Stats().Conns() != 3 {
-		t.Fatalf("listener wrapped %d conns, want 3", fl.Stats().Conns())
+	if got := d.Stats().Dups(); got != 3 {
+		t.Fatalf("dialer counted %d duplicated lines, want 3", got)
 	}
 }
 
