@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"iter"
 	"sync"
 
 	"github.com/gpm-sim/gpm/internal/sim"
@@ -10,9 +11,9 @@ import (
 type threadState uint8
 
 const (
-	tsNew     threadState = iota // never run; executes inline on a scheduler goroutine
+	tsNew     threadState = iota // never run; starts inline on the hub or on a runner
 	tsReady                      // runnable, queued in canonical order
-	tsRunning                    // holds the block's baton
+	tsRunning                    // executing on the hub or its runner
 	tsBarrier                    // parked at the block barrier
 	tsAtomic                     // parked at an atomic, operands staged for the engine
 	tsExited                     // returned or crash-unwound
@@ -20,19 +21,19 @@ const (
 
 // Block is one resident threadblock: the block-granularity execution unit.
 //
-// A block owns a single scheduling "baton": at any instant exactly one
-// goroutine — the baton holder — is executing kernel code or scheduling on
-// the block's behalf. Threads run as an inner loop in ascending thread-ID
-// order between synchronization points; a thread that parks (barrier,
-// atomic) hands the baton to the next runnable thread, lazily materializing
-// a goroutine only for threads that actually park. Kernels that never
-// synchronize execute on the block's bootstrap goroutine alone, with zero
-// thread goroutines, zero channel operations, and zero locking.
+// Each block runs on one goroutine, its hub. Threads run as an inner loop
+// in ascending thread-ID order between synchronization points. New threads
+// execute inline on the hub, so kernels that never synchronize run on the
+// hub alone: no coroutines, no channel operations, no locking. A thread
+// that parks (barrier, atomic) needs a stack of its own to come back to:
+// below a parked inline thread, new threads start on a runner — a pooled
+// iter.Pull coroutine — which yields back to the hub when its thread parks
+// and is resumed by the hub when that thread's turn comes (see schedule).
 //
-// Because threads of a block never run concurrently, all block-local state
-// (shared memory, warp logs, barrier counts, stats) is mutex-free; the
-// happens-before edges are the baton handoffs themselves (channel sends,
-// goroutine spawns, and the engine's round mutex).
+// At any instant exactly one of the hub and its runners executes, so all
+// block-local state (shared memory, warp logs, barrier counts, stats) is
+// mutex-free; the happens-before edges are the coroutine switches
+// themselves and the engine's round mutex.
 type Block struct {
 	dev      *Device
 	eng      *engine
@@ -55,11 +56,66 @@ type Block struct {
 	ready     []int32
 	readyHead int
 
-	wake  chan struct{} // engine -> baton holder: atomic round committed
+	idle  []*runner     // runners with no thread, reusable by this block
+	wake  chan struct{} // engine -> block: atomic round committed
 	batch replayBatch   // reused across warp-log flushes
 
 	out *blockOutcome // finish results, read by Launch after the wave joins
 	wg  *sync.WaitGroup
+}
+
+// runner is a coroutine that executes threads for a block's hub. It runs
+// new threads one after another until one parks and stays tied to that
+// thread until it exits; it then yields the next thread to the hub and
+// waits, idle, for another new thread. Resuming it with none ends it.
+type runner struct {
+	resume func() (*Thread, bool)
+	yield  func(*Thread) bool
+	t      *Thread // the new thread to start on the next resume
+}
+
+// runnerPool keeps idle runners between launches. A retiring block ends
+// those beyond maxIdleRunners (see finish), so no coroutine outlives the
+// bound. It is package-wide because a Device has no Close: a per-device
+// pool would strand its coroutines when the device is dropped.
+var runnerPool struct {
+	sync.Mutex
+	idle []*runner
+}
+
+const maxIdleRunners = 1024
+
+// getRunner returns one of the block's idle runners, restocking them from
+// the pool (up to one per live thread, in one lock) or making a new one.
+func (b *Block) getRunner() *runner {
+	if len(b.idle) == 0 {
+		runnerPool.Lock()
+		k := max(0, len(runnerPool.idle)-b.live)
+		b.idle = append(b.idle, runnerPool.idle[k:]...)
+		clear(runnerPool.idle[k:])
+		runnerPool.idle = runnerPool.idle[:k]
+		runnerPool.Unlock()
+	}
+	if n := len(b.idle); n > 0 {
+		r := b.idle[n-1]
+		b.idle = b.idle[:n-1]
+		return r
+	}
+	r := new(runner)
+	r.resume, _ = iter.Pull(func(yield func(*Thread) bool) {
+		r.yield = yield
+		for t := r.t; t != nil; t = r.t {
+			b := t.blk
+			for t != nil && t.state == tsNew {
+				b.exec(t, r)
+				t = b.next()
+			}
+			r.t = nil
+			b.idle = append(b.idle, r)
+			yield(t)
+		}
+	})
+	return r
 }
 
 // ID returns the block index within the grid.
@@ -97,18 +153,25 @@ func (b *Block) popReady() *Thread {
 	return t
 }
 
-// refill restarts the run queue from empty; push order must be ascending
-// thread ID so FIFO consumption stays canonical.
-func (b *Block) refill() {
-	b.ready = b.ready[:0]
-	b.readyHead = 0
+// requeue restarts the empty run queue with the threads parked in state s,
+// in ascending thread ID so FIFO consumption stays canonical.
+func (b *Block) requeue(s threadState) {
+	b.ready, b.readyHead = b.ready[:0], 0
+	for _, t := range b.threads {
+		if t.state == s {
+			t.state = tsReady
+			b.ready = append(b.ready, int32(t.id))
+		}
+	}
 }
 
 // next returns the lowest-ID runnable thread, resolving block-local
-// quiescence on the calling goroutine: releasable barriers release here,
-// and when every live thread is parked at an atomic (or behind a barrier an
-// atomic is holding up) the block reports quiescent to the engine and
-// sleeps until the round commits. Returns nil once every thread has exited.
+// quiescence on the calling stack. A barrier every live thread has reached
+// releases here: the warp logs flush, aligning warp clocks to the block
+// maximum. When every live thread is parked at an atomic (or behind a
+// barrier an atomic is holding up) the block reports quiescent to the
+// engine and sleeps until the round commits (results are staged in each
+// thread's aOld/aLines). Returns nil once every thread has exited.
 func (b *Block) next() *Thread {
 	for {
 		if t := b.popReady(); t != nil {
@@ -118,7 +181,9 @@ func (b *Block) next() *Thread {
 			return nil
 		}
 		if b.arrived == b.live {
-			b.releaseBarrier()
+			b.flush(true)
+			b.requeue(tsBarrier)
+			b.arrived = 0
 			continue
 		}
 		if b.nAtomic == 0 {
@@ -126,114 +191,86 @@ func (b *Block) next() *Thread {
 		}
 		b.eng.blockQuiescent(b)
 		<-b.wake
-		b.roundCommitted()
+		b.requeue(tsAtomic)
+		b.nAtomic = 0
 	}
 }
 
-// releaseBarrier runs when every live thread has arrived: flush the warp
-// logs (aligning warp clocks to the block maximum) and requeue the waiters
-// in canonical order.
-func (b *Block) releaseBarrier() {
-	b.flushAndSync()
-	b.refill()
-	for _, t := range b.threads {
-		if t.state == tsBarrier {
-			t.state = tsReady
-			b.ready = append(b.ready, int32(t.id))
-		}
-	}
-	b.arrived = 0
+// runScheduler is the hub: it runs the block to completion on the calling
+// goroutine, which must carry no kernel frames, then retires it.
+func (b *Block) runScheduler() {
+	b.schedule(nil, nil)
+	b.finish()
 }
 
-// roundCommitted requeues the atomic waiters after the engine committed
-// their operations (results are staged in each thread's aOld/aLines).
-func (b *Block) roundCommitted() {
-	b.refill()
-	for _, t := range b.threads {
-		if t.state == tsAtomic {
-			t.state = tsReady
-			b.ready = append(b.ready, int32(t.id))
-		}
-	}
-	b.nAtomic = 0
-}
-
-// runScheduler drives runnable threads in canonical order on the calling
-// goroutine, which must carry no kernel frames: new threads execute inline
-// on its stack. It returns after handing the baton to a parked thread's
-// goroutine, or after retiring the block. first, if non-nil, is a thread
-// already dequeued by the spawning parker.
-func (b *Block) runScheduler(first *Thread) {
-	t := first
+// schedule runs threads in canonical order until self — the parked thread
+// whose kernel frames the hub carries, nil at top level — is next, or at
+// top level until every thread has exited. t, if non-nil, is already
+// dequeued. New threads run inline at top level and on a runner below
+// self; a parked thread resumes on the runner it parked in.
+func (b *Block) schedule(self, t *Thread) {
 	for {
 		if t == nil {
-			if t = b.next(); t == nil {
-				b.finish()
-				return
-			}
+			t = b.next()
 		}
-		if t.started {
-			t.state = tsRunning
-			t.resume <- struct{}{}
+		if t == self {
 			return
 		}
-		b.exec(t)
-		t = nil
+		if self == nil && t.state == tsNew {
+			b.exec(t, nil)
+			t = nil
+			continue
+		}
+		r := t.runner
+		if r == nil {
+			r = b.getRunner()
+			r.t = t
+		}
+		t, _ = r.resume()
 	}
 }
 
-// exec runs one new thread's kernel function inline. If the thread parks,
-// the baton moves elsewhere and this call does not return until the thread
-// is resumed and its kernel completes; either way, when exec returns the
-// calling goroutine holds the baton again.
-func (b *Block) exec(t *Thread) {
-	t.started = true
+// exec runs one new thread's kernel function on the hub (r nil) or runner
+// r. If the thread parks, exec returns once it resumes and completes.
+func (b *Block) exec(t *Thread, r *runner) {
 	t.state = tsRunning
+	t.runner = r
 	defer func() {
 		t.state = tsExited
+		t.runner = nil
 		b.live--
-		if r := recover(); r != nil && r != ErrCrashed {
-			panic(r)
+		if p := recover(); p != nil && p != ErrCrashed {
+			panic(p)
 		}
 	}()
 	b.kern(t)
 }
 
 // park suspends t — already marked tsBarrier or tsAtomic by the caller —
-// and moves the baton onward; it returns once t is resumed. The calling
-// goroutine carries t's kernel frames, so a tsNew successor needs a fresh
-// scheduler goroutine (this is the lazy materialization point: kernels
-// whose threads never park never reach it).
+// and returns once t is next in canonical order. A thread on a runner
+// yields the next thread to the hub; a thread inline on the hub schedules
+// the others from there.
 func (b *Block) park(t *Thread) {
-	u := b.next() // never nil: t itself is live and parked
-	if u == t {
-		// t's own park resolved the quiescence (last to a barrier, or a
-		// round committed and t is first in canonical order): baton returns
-		// straight to t with no channel traffic.
-		t.state = tsRunning
-		return
+	if u := b.next(); u != t {
+		if r := t.runner; r != nil {
+			r.yield(u)
+		} else {
+			b.schedule(t, u)
+		}
 	}
-	if t.resume == nil {
-		t.resume = make(chan struct{}, 1)
-	}
-	if u.started {
-		u.state = tsRunning
-		u.resume <- struct{}{}
-	} else {
-		go b.runScheduler(u)
-	}
-	<-t.resume
+	t.state = tsRunning
 }
 
 // finish retires the block: replay remaining warp logs, harvest the results
-// Launch reads after the join, recycle the Block, and free the window slot.
-// Runs on the final baton holder. The harvest must complete before the pool
-// Put — a concurrent spawner may reuse the Block the moment it is pooled —
-// and the Put must precede blockDone so a spawner unblocked by the freed
-// window slot finds the Block available.
+// Launch reads after the join, pool the runners, recycle the Block, and free
+// the window slot. Runs on the hub. The harvest must complete before the
+// pool Put — a concurrent spawner may reuse the Block the moment it is
+// pooled — and the Put must precede blockDone so a spawner unblocked by the
+// freed window slot finds the Block available. Runners beyond the idle
+// pool's bound are ended.
 func (b *Block) finish() {
 	out := b.out
-	out.crit = b.flushFinal()
+	out.crit = b.flush(false)
 	for _, t := range b.threads {
 		if t.opIdx > out.maxLocal {
 			out.maxLocal = t.opIdx
@@ -245,38 +282,34 @@ func (b *Block) finish() {
 			out.minAbort = t.abortedAt
 		}
 	}
+	runnerPool.Lock()
+	keep := min(len(b.idle), maxIdleRunners-len(runnerPool.idle))
+	runnerPool.idle = append(runnerPool.idle, b.idle[:keep]...)
+	runnerPool.Unlock()
+	for _, r := range b.idle[keep:] {
+		r.resume()
+	}
+	clear(b.idle)
+	b.idle = b.idle[:0]
 	eng, wg, dev := b.eng, b.wg, b.dev
 	dev.blockPool.Put(b)
 	eng.blockDone()
 	wg.Done()
 }
 
-// flushAndSync replays every warp's pending operations and, because it runs
-// at a block-wide barrier, aligns all warp clocks to the block maximum.
-func (b *Block) flushAndSync() {
+// flush replays every warp's pending operations and returns the block's
+// critical path. At a block-wide barrier (align) it also aligns all warp
+// clocks to the block maximum.
+func (b *Block) flush(align bool) sim.Duration {
 	b.batch.reset()
 	var maxClock sim.Duration
 	for _, w := range b.warps {
 		w.replay(b.dev.Params, &b.batch)
-		if w.clock > maxClock {
-			maxClock = w.clock
-		}
+		maxClock = max(maxClock, w.clock)
 	}
-	for _, w := range b.warps {
-		w.clock = maxClock
-	}
-	b.stats.merge(&b.batch)
-}
-
-// flushFinal replays any remaining operations at block exit and returns the
-// block's critical path.
-func (b *Block) flushFinal() sim.Duration {
-	b.batch.reset()
-	var maxClock sim.Duration
-	for _, w := range b.warps {
-		w.replay(b.dev.Params, &b.batch)
-		if w.clock > maxClock {
-			maxClock = w.clock
+	if align {
+		for _, w := range b.warps {
+			w.clock = maxClock
 		}
 	}
 	b.stats.merge(&b.batch)

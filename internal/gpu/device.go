@@ -4,12 +4,11 @@
 // while a deterministic timing engine accounts simulated time.
 //
 // Execution model. The execution unit is the threadblock: each block runs
-// on (at most) one goroutine at a time, executing its threads as an inner
-// loop in ascending thread-ID order between synchronization points, and
-// lazily materializing goroutines only for threads that park at a barrier
-// or atomic (see Block). Blocks are scheduled over a worker window and
-// grouped into waves of at most NumSMs×MaxBlocksPerSM resident blocks, like
-// hardware occupancy. Every
+// on one hub goroutine, executing its threads as an inner loop in ascending
+// thread-ID order between synchronization points; only threads that park
+// at a barrier or atomic continue on a pooled coroutine (see Block). Blocks
+// are scheduled over a worker window and grouped into waves of at most
+// NumSMs×MaxBlocksPerSM resident blocks, like hardware occupancy. Every
 // thread records its memory operations into a per-lane log; at each block
 // barrier and at block exit the warp logs are replayed in SIMT lockstep
 // order (the i-th operation of every lane forms one step), which is where
@@ -234,7 +233,6 @@ func (d *Device) acquireBlock(eng *engine, id, grid, tpb int, kern func(*Thread)
 	}
 	for _, t := range b.threads {
 		t.state = tsNew
-		t.started = false
 		t.opIdx, t.lastExec, t.abortedAt = 0, 0, 0
 		t.curSeq = 0
 		t.dirty = t.dirty[:0]
@@ -325,7 +323,7 @@ func (d *Device) Launch(name string, blocks, threadsPerBlock int, kern func(*Thr
 			blockStats[b] = newStats()
 			blk := d.acquireBlock(eng, b, blocks, tpb, kern, blockStats[b], &outcomes[b], &wg)
 			wg.Add(1)
-			go blk.runScheduler(nil)
+			go blk.runScheduler()
 		}
 		wg.Wait()
 	}

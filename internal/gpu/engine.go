@@ -8,12 +8,13 @@ import (
 // engine coordinates one kernel launch across block-granularity execution
 // units while keeping every simulated outcome schedule-independent.
 //
-// Execution units are threadblocks, not threads: each block owns a single
-// scheduling "baton" and runs its threads as an inner loop in canonical
-// thread-ID order between synchronization points (see block.go). The engine
-// therefore only has to arbitrate *between* blocks, and its mutex is taken
-// once per block state transition (spawn, quiescence, retire) instead of
-// once per thread park — the change that makes host parallelism pay.
+// Execution units are threadblocks, not threads: each block runs its threads
+// on one hub goroutine (switching to a coroutine per parked thread) as an
+// inner loop in canonical thread-ID order between synchronization points
+// (see block.go). The engine therefore only has to arbitrate *between*
+// blocks, and its mutex is taken once per block state transition (spawn,
+// quiescence, retire) instead of once per thread park — the change that
+// makes host parallelism pay.
 //
 // The determinism argument has three parts:
 //
@@ -117,9 +118,9 @@ func (e *engine) blockDone() {
 }
 
 // blockQuiescent records that every live thread of b is parked and at least
-// one is waiting on an atomic. The caller (b's baton holder) must block on
-// b.wake immediately after; the engine owns b's parked thread records until
-// it sends the wake token.
+// one is waiting on an atomic. The caller (b's hub or the runner executing
+// for it) must block on b.wake immediately after; the engine owns b's
+// parked thread records until it sends the wake token.
 func (e *engine) blockQuiescent(b *Block) {
 	e.mu.Lock()
 	e.waiting = append(e.waiting, b)
@@ -148,8 +149,10 @@ func (e *engine) maybeTrigger() {
 // runRound commits every pending atomic in canonical (block, thread) order
 // and wakes the waiting blocks. All other blocks of the wave have retired,
 // so the reads and writes below are the only accesses in flight. Called
-// with e.mu held; the mutex is also what publishes the per-thread operand
-// fields each block wrote before parking.
+// with e.mu held. The happens-before edges are the mutex, which publishes
+// the operand fields each block wrote before parking, and the wake send,
+// which publishes the results back; inside a block they are coroutine
+// switches.
 func (e *engine) runRound() {
 	// Blocks quiesce roughly in spawn order, so the list is near-sorted:
 	// insertion sort is O(n) here and skips sort.Slice's closure overhead.
@@ -168,7 +171,7 @@ func (e *engine) runRound() {
 	}
 	e.activeBlocks += len(e.waiting)
 	for _, b := range e.waiting {
-		b.wake <- struct{}{} // buffered; the baton holder is (or will be) receiving
+		b.wake <- struct{}{} // buffered; the block is (or will be) receiving
 	}
 	e.waiting = e.waiting[:0]
 }

@@ -1,6 +1,8 @@
 package gpu
 
 import (
+	"bytes"
+	"reflect"
 	"testing"
 
 	"github.com/gpm-sim/gpm/internal/memsys"
@@ -119,6 +121,84 @@ func TestForceSpawnWithStoresBetweenRounds(t *testing.T) {
 		}
 		if got := d.Space.ReadU32(ctr); got != uint32(2*grid) {
 			t.Fatalf("workers=%d: counter = %d, want %d", workers, got, 2*grid)
+		}
+	}
+}
+
+// mixedOutcome is everything mixedRun observes: the Result, the visible and
+// durable images of the PM array, and, per thread that reached the first
+// atomic, its old value and PM sequence number.
+type mixedOutcome struct {
+	res              Result
+	visible, durable []byte
+	olds, seqs       []uint32
+}
+
+// mixedRun launches a kernel that mixes every scheduling path: a thread in
+// five exits before the first barrier, the rest cross barriers, take
+// whole-wave atomic rounds in the same block and fence PM, and every thread
+// is unwound at canonical op index abortAt.
+func mixedRun(t *testing.T, workers int, abortAt int64) mixedOutcome {
+	t.Helper()
+	d := newDev(t)
+	d.SetWorkers(workers)
+	d.Space.SetDDIOOff(true)
+	const blocks, tpb = 8, 64
+	grid := blocks * tpb
+	data := d.Space.AllocPM(int64(8*grid), 0)
+	ctr := d.Space.AllocPM(64, 0)
+	out := mixedOutcome{olds: make([]uint32, grid), seqs: make([]uint32, grid)}
+	seqBase := d.Space.SeqMark()
+	d.SetAbortCheck(func(op int64) bool { return op >= abortAt })
+	out.res = d.Launch("mixed", blocks, tpb, func(th *Thread) {
+		g := th.GlobalID()
+		if th.ID()%5 == 4 {
+			th.StoreU32(data+uint64(4*g), 0xe0e0e0e0)
+			return
+		}
+		th.StoreU32(data+uint64(4*g), uint32(g))
+		th.SyncBlock()
+		out.olds[g] = th.AtomicAdd32(ctr, 1)
+		out.seqs[g] = uint32(th.curSeq - seqBase)
+		th.StoreU32(data+uint64(4*(grid+g)), th.LoadU32(data+uint64(4*(g^1)))+out.olds[g])
+		th.SyncBlock()
+		th.AtomicMax32(ctr+4, uint32(g))
+		th.FenceSystem()
+		th.SyncBlock()
+		th.StoreU32(data+uint64(4*g), ^uint32(g))
+	})
+	d.SetAbortCheck(nil)
+	out.visible = make([]byte, 8*grid)
+	d.Space.Read(data, out.visible)
+	out.durable = d.Space.SnapshotPersistent(data, 8*grid)
+	return out
+}
+
+// TestMixedKernelDeterminism runs the mixed kernel to completion and with an
+// abort at the second barrier — threads 0..98 pass it and park, the rest
+// unwind there, and the parked ones unwind at the next atomic — at workers
+// 1, 2 and 8: the
+// Result, both memory images, the atomic old values and the PM sequence
+// numbers must match workers=1 exactly.
+func TestMixedKernelDeterminism(t *testing.T) {
+	const grid = 8 * 64
+	for _, abortAt := range []int64{1 << 40, 5*grid + 100} {
+		ref := mixedRun(t, 1, abortAt)
+		if crashed := abortAt < 1<<40; ref.res.Crashed != crashed {
+			t.Fatalf("abortAt=%d: Crashed = %v, want %v", abortAt, ref.res.Crashed, crashed)
+		}
+		for _, workers := range []int{2, 8} {
+			got := mixedRun(t, workers, abortAt)
+			if got.res.Elapsed != ref.res.Elapsed || got.res.Crashed != ref.res.Crashed ||
+				!reflect.DeepEqual(got.res.Stats, ref.res.Stats) {
+				t.Fatalf("abortAt=%d workers=%d: Result %+v, workers=1 gave %+v", abortAt, workers, got.res, ref.res)
+			}
+			if !bytes.Equal(got.visible, ref.visible) || !bytes.Equal(got.durable, ref.durable) {
+				t.Fatalf("abortAt=%d workers=%d: memory image differs from workers=1", abortAt, workers)
+			}
+			if !reflect.DeepEqual(got.olds, ref.olds) || !reflect.DeepEqual(got.seqs, ref.seqs) {
+				t.Fatalf("abortAt=%d workers=%d: atomic olds or PM sequences differ from workers=1", abortAt, workers)
+			}
 		}
 	}
 }

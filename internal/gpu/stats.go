@@ -49,7 +49,7 @@ func (s *Stats) Clone() Stats {
 }
 
 // kernelStats accumulates one block's traffic. Each block owns its own
-// instance and is driven by a single baton holder at a time (see Block), so
+// instance, driven by one of its hub and runners at a time (see Block), so
 // no locking is needed; Launch folds the per-block instances together in
 // block-ID order after the wave joins.
 type kernelStats struct {
@@ -79,7 +79,7 @@ func (k *kernelStats) addSerial(id uint32, d sim.Duration) {
 }
 
 // merge folds one warp-replay batch into the block totals. Single-threaded:
-// only the block's baton holder calls it.
+// only the block's executing hub or runner calls it.
 func (k *kernelStats) merge(b *replayBatch) {
 	k.pmWriteBytes += b.pmWriteBytes
 	k.pmWriteTxns += b.pmWriteTxns

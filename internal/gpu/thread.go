@@ -14,8 +14,8 @@ import (
 // fences, a block barrier, and atomics.
 //
 // Threads of a block never execute concurrently (see Block): a thread runs
-// on its block's baton until it parks at a synchronization point, so all
-// per-thread and block-local state below is unlocked.
+// on its block's hub or a runner until it parks at a synchronization point,
+// so all per-thread and block-local state below is unlocked.
 type Thread struct {
 	blk  *Block
 	warp *warp
@@ -24,12 +24,11 @@ type Thread struct {
 
 	dirty []uint64 // virtual PM lines written since the last system fence
 
-	// Cooperative-scheduling state (owned by the block's baton holder; the
-	// engine reads the atomic operand fields under its round mutex while
-	// the block is quiescent).
-	state   threadState
-	started bool
-	resume  chan struct{} // baton handoff; allocated at first park
+	// Cooperative-scheduling state (owned by the block's executing hub or
+	// runner; the engine reads the atomic operand fields under its round
+	// mutex while the block is quiescent).
+	state  threadState
+	runner *runner // the runner executing this thread; nil on the hub
 
 	// Pending-atomic operands and results, staged across the park.
 	aAddr  uint64
