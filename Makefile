@@ -70,7 +70,8 @@ txn-smoke:
 	$(call chaos_campaign,-txn,-break-si)
 
 # Observability smoke: run a real gpmserve process with the admin endpoint,
-# audit trail, and metrics flush on, drive TCP load, assert /metrics,
+# audit trail, and metrics flush on, drive TCP load through the gpmload
+# binary (plain, then -txn, both -json) and the client package, assert /metrics,
 # /healthz, /statusz, and /debug/trace are well-formed and show the load,
 # then SIGTERM and check the drain leaves metrics + audit files behind.
 obs-smoke:

@@ -1,7 +1,9 @@
-// Command gpmload is the closed-loop load generator for gpmserve: -conns
-// connections each keep -window requests pipelined, sending a seeded
-// deterministic GET/SET/DEL mix, and report client-observed throughput and
-// latency percentiles.
+// Command gpmload is the closed-loop load generator for gpmserve, a thin
+// front end over serve.RunLoad: -conns connections each keep -window
+// requests pipelined, sending a seeded deterministic GET/SET/DEL mix, and
+// report client-observed throughput and latency percentiles. With -txn the
+// connections run read-modify-write increment transactions instead and
+// report the commit/abort ledger.
 //
 //	gpmload -addr 127.0.0.1:7070 -ops 100000 -conns 8
 //	gpmload -addr 127.0.0.1:7070 -ops 10000 -get 0.9 -json
@@ -103,7 +105,7 @@ func main() {
 		window   = flag.Int("window", 16, "pipelined outstanding requests per connection")
 		getFrac  = flag.Float64("get", 0.5, "GET fraction of the op mix")
 		delFrac  = flag.Float64("del", 0.05, "DEL fraction of the op mix")
-		keySpace = flag.Uint64("keyspace", 4096, "keys drawn from [1, keyspace]")
+		keySpace = flag.Uint64("keyspace", 4096, "keys drawn from [1, keyspace]; with -txn, from a range as wide above every plain key")
 		dist     = flag.String("dist", serve.DistUniform, "key distribution: uniform or zipf")
 		theta    = flag.Float64("theta", 0, "zipf skew in (0, 1); 0 = 0.99 (YCSB default); requires -dist zipf")
 		seed     = flag.Uint64("seed", 1, "op-mix RNG seed base (per-connection streams derive from it)")
@@ -130,29 +132,34 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if o.txn {
-		runTxn(o, *seed, *asJSON)
-		return
-	}
-
-	res, err := serve.RunLoad(serve.LoadConfig{
+	cfg := serve.LoadConfig{
 		Addr:         o.addr,
-		Conns:        o.conns,
-		Ops:          o.ops,
-		Window:       o.window,
-		GetFraction:  o.getFrac,
-		DelFraction:  o.delFrac,
-		KeySpace:     o.keySpace,
 		Dist:         o.dist,
 		Theta:        o.theta,
 		Seed:         *seed,
 		Timeout:      o.timeout,
 		Progress:     o.progress,
-		OnProgress:   printProgress,
 		Retry:        o.retry,
 		MaxRetries:   o.maxRetries,
 		RetryBackoff: o.retryBackoff,
-	})
+	}
+	unit := "ops"
+	if o.txn {
+		unit = "txns"
+		cfg.TxnConns, cfg.Txns, cfg.TxnSize, cfg.TxnKeySpace = o.conns, o.ops, o.txnSize, o.keySpace
+	} else {
+		cfg.Conns, cfg.Ops, cfg.Window, cfg.KeySpace = o.conns, o.ops, o.window, o.keySpace
+		cfg.GetFraction, cfg.DelFraction = o.getFrac, o.delFrac
+	}
+	// One -progress status line: cumulative completion, plus rate and p99
+	// over just the last interval (a rolling window).
+	cfg.OnProgress = func(p serve.LoadProgress) {
+		fmt.Fprintf(os.Stderr, "gpmload: %8s  %d/%d %s  %s %s/s  %d inflight  p99 %.0fµs  %d retries\n",
+			p.Elapsed.Round(100*time.Millisecond), p.Done, p.Total, unit,
+			obs.FormatRate(p.OpsPerSec), unit, p.Inflight, p.P99US, p.Retries)
+	}
+
+	res, err := serve.RunLoad(cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "gpmload:", err)
 		os.Exit(1)
@@ -165,75 +172,28 @@ func main() {
 			os.Exit(2)
 		}
 	} else {
+		printResult(res, o.retry)
+	}
+	if t := res.Txn; res.Errors > 0 || (t != nil && (t.Errors > 0 || t.ReadAnomalies > 0)) {
+		os.Exit(1)
+	}
+}
+
+// printResult renders a run as text: the plain workers' line or the
+// transaction workers' ledger, then the exactly-once counters.
+func printResult(res *serve.LoadResult, retry bool) {
+	if t := res.Txn; t != nil {
+		fmt.Printf("%d txns in %v: %.0f txns/s, p50 %v p95 %v p99 %v\n",
+			t.Txns, res.Elapsed.Round(time.Millisecond), t.Throughput, t.P50, t.P95, t.P99)
+		fmt.Printf("conflicts: %d aborts, %d retried, %d dropped; %d unresolved, %d snapshots lost, %d read anomalies\n",
+			t.Aborts, t.ConflictRetries, t.AbortedForGood, t.GaveUp, t.SnapshotsLost, t.ReadAnomalies)
+	} else {
 		fmt.Printf("%d ops in %v: %.0f ops/s, p50 %v p95 %v p99 %v, %d hits %d misses %d errors\n",
 			res.Ops, res.Elapsed.Round(time.Millisecond), res.Throughput,
 			res.P50, res.P95, res.P99, res.Hits, res.Misses, res.Errors)
-		if o.retry {
-			fmt.Printf("exactly-once: %d retries, %d reconnects, %d gave up\n",
-				res.Retries, res.Reconnects, res.GaveUp)
-		}
 	}
-	if res.Errors > 0 {
-		os.Exit(1)
+	if retry {
+		fmt.Printf("exactly-once: %d retries, %d reconnects, %d gave up\n",
+			res.Retries, res.Reconnects, res.GaveUp)
 	}
-}
-
-// printProgress renders one -progress status line: cumulative completion,
-// plus rate and p99 over just the last interval (a rolling window).
-func printProgress(p serve.LoadProgress) {
-	fmt.Fprintf(os.Stderr, "gpmload: %8s  %d/%d ops  %s ops/s  %d inflight  p99 %.0fµs\n",
-		p.Elapsed.Round(100*time.Millisecond), p.Done, p.Total,
-		obs.FormatRate(p.OpsPerSec), p.Inflight, p.P99US)
-}
-
-// runTxn drives the transaction generator: -ops closed-loop RMW increment
-// transactions of -txn-size keys, reporting the commit/abort/retry ledger.
-func runTxn(o cliOptions, seed uint64, asJSON bool) {
-	res, err := serve.RunTxnLoad(serve.TxnLoadConfig{
-		Addr:         o.addr,
-		Conns:        o.conns,
-		Txns:         o.ops,
-		TxnSize:      o.txnSize,
-		KeySpace:     o.keySpace,
-		Dist:         o.dist,
-		Theta:        o.theta,
-		Seed:         seed,
-		Timeout:      o.timeout,
-		Retry:        o.retry,
-		MaxRetries:   o.maxRetries,
-		RetryBackoff: o.retryBackoff,
-		Progress:     o.progress,
-		OnProgress:   printTxnProgress,
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "gpmload:", err)
-		os.Exit(1)
-	}
-	if asJSON {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(res); err != nil {
-			fmt.Fprintln(os.Stderr, "gpmload:", err)
-			os.Exit(2)
-		}
-	} else {
-		fmt.Printf("%d txns in %v: %.0f txns/s, p50 %v p95 %v p99 %v\n",
-			res.Txns, res.Elapsed.Round(time.Millisecond), res.Throughput,
-			res.P50, res.P95, res.P99)
-		fmt.Printf("conflicts: %d aborts, %d retried, %d dropped; %d unresolved, %d snapshots lost, %d read anomalies\n",
-			res.Aborts, res.ConflictRetries, res.AbortedForGood, res.GaveUp, res.SnapshotsLost, res.ReadAnomalies)
-		if o.retry {
-			fmt.Printf("exactly-once: %d retries, %d reconnects\n", res.Retries, res.Reconnects)
-		}
-	}
-	if res.Errors > 0 || res.ReadAnomalies > 0 {
-		os.Exit(1)
-	}
-}
-
-// printTxnProgress renders one -progress line for a transaction run.
-func printTxnProgress(p serve.LoadProgress) {
-	fmt.Fprintf(os.Stderr, "gpmload: %8s  %d/%d txns  %s txns/s  p99 %.0fµs  %d retries\n",
-		p.Elapsed.Round(100*time.Millisecond), p.Done, p.Total,
-		obs.FormatRate(p.OpsPerSec), p.P99US, p.Retries)
 }

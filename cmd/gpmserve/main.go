@@ -29,8 +29,8 @@ import (
 // happens before a listener or shard exists, with exit 2 + usage.
 type cliOptions struct {
 	addr, mode, adminAddr, audit string
-	shards, sets, batch, queue   int
-	hotKeys, workers, capThreads int
+	shards, sets, batch, hotKeys int
+	workers                      int
 	batchWait, drain             time.Duration
 }
 
@@ -56,14 +56,8 @@ func validateCLI(o cliOptions) error {
 	if o.batchWait < 0 {
 		return fmt.Errorf("-batch-wait must be >= 0, got %s", o.batchWait)
 	}
-	if o.queue < 1 {
-		return fmt.Errorf("-queue must be >= 1, got %d", o.queue)
-	}
 	if err := workloads.ValidateWorkers(o.workers); err != nil {
 		return fmt.Errorf("-workers: %w", err)
-	}
-	if o.capThreads < 1 {
-		return fmt.Errorf("-capthreads must be >= 1, got %d", o.capThreads)
 	}
 	if o.drain <= 0 {
 		return fmt.Errorf("-drain-timeout must be > 0, got %s", o.drain)
@@ -76,28 +70,26 @@ func validateCLI(o cliOptions) error {
 
 func main() {
 	var (
-		addr       = flag.String("addr", "127.0.0.1:7070", "TCP listen address")
-		modeName   = flag.String("mode", "GPM", "persistence mode to serve under (GPM, GPM-eADR, GPM-NDP, CAP-fs, CAP-mm, CAP-eADR)")
-		shards     = flag.Int("shards", 2, "keyspace partitions, each an independent simulated GPU+PM node")
-		sets       = flag.Int("sets", 1<<10, "hash sets per shard (8 ways each)")
-		batch      = flag.Int("batch", 256, "max client ops per kernel batch")
-		batchWait  = flag.Duration("batch-wait", 500*time.Microsecond, "upper bound on how long a starved pipeline holds a partial batch open")
-		hotKeys    = flag.Int("hotkeys", 128, "per-shard hot-key sketch capacity for the eADR read cache")
-		queue      = flag.Int("queue", 1024, "per-shard admission queue depth (requests)")
-		workers    = flag.Int("workers", 0, "GPU block goroutines per shard (0 = GOMAXPROCS; simulated results are identical for every value)")
-		capThreads = flag.Int("capthreads", 16, "host threads for CAP-mode persistence")
-		seed       = flag.Uint64("seed", 1, "shard RNG seed base")
-		drain      = flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown budget: pending batches flush, then stragglers are cut")
-		metricsTo  = flag.String("metrics", "", "write the telemetry metrics registry as TSV to this file on shutdown (flushed once when SIGTERM lands and again with final counts at exit)")
-		adminAddr  = flag.String("admin-addr", "", "admin HTTP listen address for /metrics, /healthz, /statusz, /debug/trace (empty = disabled)")
-		auditPath  = flag.String("audit", "", "append recovery audit events (crash/restart/verify/drain) as JSONL to this file")
+		addr      = flag.String("addr", "127.0.0.1:7070", "TCP listen address")
+		modeName  = flag.String("mode", "GPM", "persistence mode to serve under (GPM, GPM-eADR, GPM-NDP, CAP-fs, CAP-mm, CAP-eADR)")
+		shards    = flag.Int("shards", 2, "keyspace partitions, each an independent simulated GPU+PM node")
+		sets      = flag.Int("sets", 1<<10, "hash sets per shard (8 ways each)")
+		batch     = flag.Int("batch", 256, "max client ops per kernel batch")
+		batchWait = flag.Duration("batch-wait", 500*time.Microsecond, "upper bound on how long a starved pipeline holds a partial batch open")
+		hotKeys   = flag.Int("hotkeys", 128, "per-shard hot-key sketch capacity for the eADR read cache")
+		workers   = flag.Int("workers", 0, "GPU block goroutines per shard (0 = GOMAXPROCS; simulated results are identical for every value)")
+		seed      = flag.Uint64("seed", 1, "shard RNG seed base")
+		drain     = flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown budget: pending batches flush, then stragglers are cut")
+		metricsTo = flag.String("metrics", "", "write the telemetry metrics registry as TSV to this file on shutdown (flushed once when SIGTERM lands and again with final counts at exit)")
+		adminAddr = flag.String("admin-addr", "", "admin HTTP listen address for /metrics, /healthz, /statusz, /debug/trace (empty = disabled)")
+		auditPath = flag.String("audit", "", "append recovery audit events (crash/restart/verify/drain) as JSONL to this file")
 	)
 	flag.Parse()
 
 	o := cliOptions{
 		addr: *addr, mode: *modeName, adminAddr: *adminAddr, audit: *auditPath,
-		shards: *shards, sets: *sets, batch: *batch, queue: *queue, hotKeys: *hotKeys,
-		workers: *workers, capThreads: *capThreads,
+		shards: *shards, sets: *sets, batch: *batch, hotKeys: *hotKeys,
+		workers:   *workers,
 		batchWait: *batchWait, drain: *drain,
 	}
 	if err := validateCLI(o); err != nil {
@@ -124,17 +116,15 @@ func runServer(o cliOptions, mode workloads.Mode, seed uint64, metricsTo string)
 	}
 	defer plane.Stop()
 	cfg := serve.Config{
-		Mode:       mode,
-		Shards:     o.shards,
-		Sets:       o.sets,
-		MaxBatch:   o.batch,
-		BatchWait:  o.batchWait,
-		QueueDepth: o.queue,
-		HotKeys:    o.hotKeys,
-		Workers:    o.workers,
-		CAPThreads: o.capThreads,
-		Seed:       seed,
-		Telemetry:  tel,
+		Mode:      mode,
+		Shards:    o.shards,
+		Sets:      o.sets,
+		MaxBatch:  o.batch,
+		BatchWait: o.batchWait,
+		HotKeys:   o.hotKeys,
+		Workers:   o.workers,
+		Seed:      seed,
+		Telemetry: tel,
 	}
 	plane.Apply(&cfg)
 	srv, err := serve.NewServer(cfg)

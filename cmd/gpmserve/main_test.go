@@ -10,8 +10,8 @@ import (
 func okOptions() cliOptions {
 	return cliOptions{
 		addr: "127.0.0.1:7070", mode: "GPM",
-		shards: 2, sets: 64, batch: 16, queue: 64, hotKeys: 128,
-		workers: 0, capThreads: 16,
+		shards: 2, sets: 64, batch: 16, hotKeys: 128,
+		workers:   0,
 		batchWait: time.Millisecond, drain: time.Second,
 	}
 }
@@ -30,9 +30,7 @@ func TestValidateCLI(t *testing.T) {
 		{"zero sets", func(o *cliOptions) { o.sets = 0 }, "-sets"},
 		{"zero batch", func(o *cliOptions) { o.batch = 0 }, "-batch"},
 		{"negative wait", func(o *cliOptions) { o.batchWait = -time.Second }, "-batch-wait"},
-		{"zero queue", func(o *cliOptions) { o.queue = 0 }, "-queue"},
 		{"negative workers", func(o *cliOptions) { o.workers = -1 }, "-workers"},
-		{"zero capthreads", func(o *cliOptions) { o.capThreads = 0 }, "-capthreads"},
 		{"zero drain", func(o *cliOptions) { o.drain = 0 }, "-drain-timeout"},
 		{"zero hotkeys", func(o *cliOptions) { o.hotKeys = 0 }, "-hotkeys"},
 	}

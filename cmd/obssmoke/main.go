@@ -1,8 +1,9 @@
 // Command obssmoke is the end-to-end observability smoke test (make
-// obs-smoke): it builds and starts a real gpmserve process with the admin
-// endpoint, audit trail, and metrics flush enabled, drives pipelined load
-// over TCP plus multi-key transactions through the client package
-// (including a deliberate write-write conflict), asserts the admin
+// obs-smoke): it builds gpmserve and gpmload, starts a real gpmserve
+// process with the admin endpoint, audit trail, and metrics flush enabled,
+// drives pipelined load and then RMW transactions over TCP through the
+// gpmload binary (-json), plus multi-key transactions through the client
+// package (including a deliberate write-write conflict), asserts the admin
 // surfaces (/healthz, /metrics, /statusz with its txn section,
 // /debug/trace) are well-formed and show the load, then SIGTERMs the
 // server and checks the drain left a metrics snapshot and a parseable
@@ -57,10 +58,12 @@ func run(ops int64, shards int) error {
 	}
 	defer os.RemoveAll(tmp)
 
-	bin := filepath.Join(tmp, "gpmserve")
-	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/gpmserve").CombinedOutput(); err != nil {
-		return fmt.Errorf("build gpmserve: %v\n%s", err, out)
+	for _, name := range []string{"gpmserve", "gpmload"} {
+		if out, err := exec.Command("go", "build", "-o", filepath.Join(tmp, name), "./cmd/"+name).CombinedOutput(); err != nil {
+			return fmt.Errorf("build %s: %v\n%s", name, err, out)
+		}
 	}
+	bin, loadBin := filepath.Join(tmp, "gpmserve"), filepath.Join(tmp, "gpmload")
 
 	metricsPath := filepath.Join(tmp, "metrics.tsv")
 	auditPath := filepath.Join(tmp, "audit.jsonl")
@@ -108,25 +111,39 @@ func run(ops int64, shards int) error {
 		return fmt.Errorf("/healthz = %d %q (%v), want 200 ok", code, body, err)
 	}
 
-	load, err := serve.RunLoad(serve.LoadConfig{
-		Addr: addr, Ops: ops, Conns: 4, Window: 16,
-		GetFraction: 0.5, DelFraction: 0.05, Seed: 1,
-	})
+	load, err := runLoad(loadBin, addr, "-ops", strconv.FormatInt(ops, 10), "-conns", "4", "-window", "16")
 	if err != nil {
-		return fmt.Errorf("load: %w", err)
+		return err
 	}
-	if load.Ops != ops || load.Errors > 0 {
-		return fmt.Errorf("load did %d/%d ops with %d errors", load.Ops, ops, load.Errors)
+	if load.Ops+load.GaveUp != ops || load.GaveUp > 0 || load.Errors > 0 {
+		return fmt.Errorf("gpmload resolved %d/%d ops, %d given up, %d errors", load.Ops, ops, load.GaveUp, load.Errors)
 	}
 	fmt.Printf("load: %d ops, %.0f ops/s, p99 %.0fµs\n", load.Ops, load.Throughput, load.P99US)
+
+	txns := max(ops/25, 1)
+	tload, err := runLoad(loadBin, addr, "-txn", "-ops", strconv.FormatInt(txns, 10), "-conns", "4")
+	if err != nil {
+		return err
+	}
+	t := tload.Txn
+	if t == nil {
+		return fmt.Errorf("gpmload -txn reported no transaction section")
+	}
+	if t.Txns+t.AbortedForGood+t.GaveUp != txns || t.GaveUp > 0 || t.Errors > 0 || t.ReadAnomalies > 0 {
+		return fmt.Errorf("gpmload -txn resolved %d committed + %d dropped of %d, %d unknown, %d errors, %d read anomalies",
+			t.Txns, t.AbortedForGood, txns, t.GaveUp, t.Errors, t.ReadAnomalies)
+	}
+	fmt.Printf("txn load: %d committed, %d conflict aborts, %.0f txns/s\n", t.Txns, t.Aborts, t.Throughput)
 
 	commits, aborts, err := exerciseTxns(addr)
 	if err != nil {
 		return fmt.Errorf("txn exercise: %w", err)
 	}
 	fmt.Printf("txns: %d committed, %d conflict-aborted over protocol v2\n", commits, aborts)
+	commits += t.Txns
+	aborts += t.Aborts
 
-	if err := checkMetrics(admin, ops); err != nil {
+	if err := checkMetrics(admin, ops+commits); err != nil {
 		return err
 	}
 	if err := checkStatusz(admin, shards, ops, commits, aborts); err != nil {
@@ -181,11 +198,27 @@ func run(ops int64, shards int) error {
 	return nil
 }
 
+// runLoad drives the server through the gpmload binary and decodes its
+// -json result; gpmload exits non-zero on any ERR reply or read anomaly.
+func runLoad(bin, addr string, args ...string) (*serve.LoadResult, error) {
+	cmd := exec.Command(bin, append([]string{"-addr", addr, "-json"}, args...)...)
+	cmd.Stderr = os.Stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return nil, fmt.Errorf("gpmload %s: %w", strings.Join(args, " "), err)
+	}
+	var res serve.LoadResult
+	if err := json.Unmarshal(out, &res); err != nil {
+		return nil, fmt.Errorf("gpmload %s output: %w\n%s", strings.Join(args, " "), err, out)
+	}
+	return &res, nil
+}
+
 // exerciseTxns drives multi-key transactions through the first-class
 // client package against the live server: read-modify-write increments
 // that must commit, then a deliberate write-write conflict whose loser
 // must abort with the conflicting key named. Keys sit far above the plain
-// load's keyspace so the two workloads never share dedup or slot state.
+// loads' keyspaces so the workloads never share dedup or slot state.
 func exerciseTxns(addr string) (commits, aborts int64, err error) {
 	cl, err := client.Dial(client.Config{
 		Addr: addr, Timeout: 10 * time.Second,
@@ -255,7 +288,8 @@ func exerciseTxns(addr string) (commits, aborts int64, err error) {
 }
 
 // checkMetrics asserts /metrics renders Prometheus text whose shard-0 ops
-// counter accounts for a plausible share of the driven load.
+// counter accounts for a plausible share of the driven load (plain ops
+// plus committed transactions, which ride epochs as ops).
 func checkMetrics(admin string, ops int64) error {
 	code, body, err := get("http://" + admin + "/metrics")
 	if err != nil || code != 200 {

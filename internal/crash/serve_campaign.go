@@ -99,18 +99,16 @@ type ServeCampaign struct {
 	BreakSI bool
 }
 
-// Transaction-load shape for Txn runs. The key range sits far above the
-// plain load's [1, servePlainKeys] and the client IDs far above the plain
-// workers', so the two traffic classes share the server but never a dedup
-// identity — and only collide on store slots by hash accident, which the
-// ledger check excludes per key.
+// Load shape. The generator puts transaction keys at serve.TxnKeyBase, far
+// above the plain load's [1, servePlainKeys], and their client IDs above
+// the plain workers', so the two traffic classes share the server but
+// never a dedup identity — and only collide on store slots by hash
+// accident, which the ledger check excludes per key.
 const (
 	servePlainKeys   = 48
-	serveTxnKeyBase  = 1 << 20
 	serveTxnKeySpace = 16
 	serveTxnSize     = 2
 	serveTxnConns    = 2
-	serveTxnCIDBase  = 64
 )
 
 // ServeStudyModes are the persistence modes the serve campaign sweeps by
@@ -358,36 +356,22 @@ func (c *ServeCampaign) runOne(d serveDesc) ServeRunRecord {
 	// reset, and duplicated on their way in; replies get stalled on their
 	// way back. That is the direction exactly-once retries must survive.
 	dialer := faultnet.NewDialer(pl.Dial, d.sched, rec.FaultSeed^0xfa1c0de)
-	var tres *serve.TxnLoadResult
-	var tErr error
-	txnDone := make(chan struct{})
+	// Txn runs add transaction workers to the same load: v2 commits and v1
+	// writes share epochs, faults, and the crash plan.
+	var txns int64
 	if c.Txn {
-		// Transactions run concurrently with the plain load: v2 commits
-		// and v1 writes share epochs, faults, and the crash plan.
-		go func() {
-			defer close(txnDone)
-			tres, tErr = serve.RunTxnLoad(serve.TxnLoadConfig{
-				Dial: dialer.Dial, Conns: serveTxnConns, Txns: c.txns(),
-				TxnSize: serveTxnSize, KeyBase: serveTxnKeyBase,
-				KeySpace: serveTxnKeySpace, CIDBase: serveTxnCIDBase,
-				Seed:    rec.FaultSeed ^ 0x5bd1e9955bd1e995,
-				Timeout: 10 * time.Second,
-				Retry:   true, MaxRetries: 12, RetryBackoff: 200 * time.Microsecond,
-				MaxAttempts: 16,
-			})
-		}()
-	} else {
-		close(txnDone)
+		txns = c.txns()
 	}
 	res, loadErr := serve.RunLoad(serve.LoadConfig{
+		Dial:  dialer.Dial,
 		Conns: c.conns(), Ops: d.ops, Window: 4,
 		GetFraction: 0.25, DelFraction: 0.125, KeySpace: servePlainKeys,
+		TxnConns: serveTxnConns, Txns: txns, TxnSize: serveTxnSize,
+		TxnKeySpace: serveTxnKeySpace, MaxAttempts: 16,
 		Seed:    rec.FaultSeed ^ 0x1c3a5e7d9bfd1357,
 		Timeout: 10 * time.Second,
 		Retry:   true, MaxRetries: 12, RetryBackoff: 200 * time.Microsecond,
-		Dial: dialer.Dial,
 	})
-	<-txnDone
 	srv.Shutdown(5 * time.Second)
 	<-serveDone
 
@@ -395,11 +379,9 @@ func (c *ServeCampaign) runOne(d serveDesc) ServeRunRecord {
 		rec.Ops, rec.GaveUp, rec.Errors = res.Ops, res.GaveUp, res.Errors
 		rec.Retries, rec.Reconnects = res.Retries, res.Reconnects
 	}
-	if tres != nil {
-		rec.TxnCommits, rec.TxnAborts = tres.Txns, tres.Aborts
-		rec.TxnGaveUp, rec.TxnSnapsLost = tres.GaveUp, tres.SnapshotsLost
-		rec.Retries += tres.Retries
-		rec.Reconnects += tres.Reconnects
+	if res != nil && res.Txn != nil {
+		rec.TxnCommits, rec.TxnAborts = res.Txn.Txns, res.Txn.Aborts
+		rec.TxnGaveUp, rec.TxnSnapsLost = res.Txn.GaveUp, res.Txn.SnapshotsLost
 	}
 	rec.Restarts, rec.PlanFired = sh.Restarts(), sh.PlanFired()
 	st := dialer.Stats()
@@ -434,8 +416,8 @@ func (c *ServeCampaign) runOne(d serveDesc) ServeRunRecord {
 		probs = append(probs, fmt.Sprintf(
 			"clean network: %d ERR replies, %d ops given up", res.Errors, res.GaveUp))
 	}
-	if c.Txn {
-		probs = append(probs, c.txnProbs(tres, tErr, sh, clean)...)
+	if c.Txn && res != nil {
+		probs = append(probs, c.txnProbs(res.Txn, loadErr, sh, clean)...)
 	}
 	if len(probs) > 0 {
 		return fail("%s", strings.Join(probs, "; "))
@@ -458,19 +440,15 @@ func (c *ServeCampaign) runOne(d serveDesc) ServeRunRecord {
 // a colliding SET legally evicts the incumbent's value; a ledger left
 // with no key to check is itself a failure. On a clean network the txn
 // clients must also see no ERR verdict and leave no commit unresolved.
-func (c *ServeCampaign) txnProbs(tres *serve.TxnLoadResult, tErr error, sh *serve.Shard, clean bool) []string {
+// The transaction count is checked only when no client gave out (loadErr
+// nil), since a dead worker leaves its share unissued.
+func (c *ServeCampaign) txnProbs(tres *serve.TxnResult, loadErr error, sh *serve.Shard, clean bool) []string {
 	var probs []string
-	if tErr != nil {
-		probs = append(probs, fmt.Sprintf("txn client gave out: %v", tErr))
-	}
-	if tres == nil {
-		return probs
-	}
 	if clean && (tres.Errors > 0 || tres.GaveUp > 0) {
 		probs = append(probs, fmt.Sprintf(
 			"clean network: txn clients saw %d errors, %d commits unresolved", tres.Errors, tres.GaveUp))
 	}
-	if tErr == nil {
+	if loadErr == nil {
 		if got := tres.Txns + tres.AbortedForGood + tres.GaveUp; got != c.txns() {
 			probs = append(probs, fmt.Sprintf(
 				"txn accounting: %d committed + %d dropped + %d unknown != %d issued",
@@ -486,11 +464,11 @@ func (c *ServeCampaign) txnProbs(tres *serve.TxnLoadResult, tErr error, sh *serv
 		owners[sh.SlotOf(k)]++
 	}
 	for k := uint64(0); k < serveTxnKeySpace; k++ {
-		owners[sh.SlotOf(serveTxnKeyBase+k)]++
+		owners[sh.SlotOf(serve.TxnKeyBase+k)]++
 	}
 	checked := 0
 	for k := uint64(0); k < serveTxnKeySpace; k++ {
-		key := serveTxnKeyBase + k
+		key := serve.TxnKeyBase + k
 		if owners[sh.SlotOf(key)] != 1 {
 			continue
 		}

@@ -158,8 +158,10 @@ func TestFigure10Shape(t *testing.T) {
 		prodGPM *= gpm
 		prodNDP *= ndp
 		// At the quick scale, fixed launch costs can let NDP edge ahead
-		// on the smallest workloads; the aggregate check below and the
-		// default-scale bench enforce the paper's ordering.
+		// on the smallest workloads; only the aggregate check below holds
+		// the paper's ordering. Nothing checks these per-row carve-outs at
+		// default scale: the bench's sim-suite runs GPM, CAP-fs and CAP-mm
+		// only, never GPM-NDP, GPM-eADR or CAP-eADR (ROADMAP item 12).
 		if gpm*2 < ndp {
 			t.Errorf("%s: GPM (%.2f) should not trail GPM-NDP (%.2f) by 2x", r[0], gpm, ndp)
 		}

@@ -118,7 +118,7 @@ func (s *Server) handleConn(c net.Conn) {
 	// Replies go out in request order: the reader enqueues one future per
 	// request; the writer resolves them FIFO, so pipelining across epochs
 	// and cache hits cannot reorder a connection's replies.
-	futures := make(chan chan string, 2*s.cfg.QueueDepth)
+	futures := make(chan chan string, 2*queueDepth)
 	var wWG sync.WaitGroup
 	wWG.Add(1)
 	go func() {

@@ -88,7 +88,8 @@ func TestZipfThetaControlsSkew(t *testing.T) {
 	}
 }
 
-// LoadConfig validation: zipf defaults and rejections.
+// LoadConfig validation: zipf defaults and rejections, and plain workers
+// kept off the transaction workers' keys and client IDs.
 func TestLoadConfigDistValidation(t *testing.T) {
 	c := LoadConfig{Addr: "x", Ops: 1, Dist: DistZipf}
 	if err := c.Normalize(); err != nil {
@@ -104,6 +105,15 @@ func TestLoadConfigDistValidation(t *testing.T) {
 	badTheta := LoadConfig{Addr: "x", Ops: 1, Dist: DistZipf, Theta: 1.5}
 	if err := badTheta.Normalize(); err == nil {
 		t.Error("theta >= 1 should be rejected")
+	}
+	for _, bad := range []LoadConfig{
+		{Addr: "x", Conns: -1, Ops: 1},
+		{Addr: "x", Ops: 1, Txns: 1, KeySpace: TxnKeyBase},
+		{Addr: "x", Ops: 1, Txns: 1, Conns: txnCIDBase + 1},
+	} {
+		if err := bad.Normalize(); err == nil {
+			t.Errorf("%+v should be rejected", bad)
+		}
 	}
 }
 

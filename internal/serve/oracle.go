@@ -28,40 +28,34 @@ const oraSlack = 1 << 16
 type tsOracle struct {
 	mu   sync.Mutex
 	next uint64 // next ts to allocate (counter; exposed ts are < next)
-	// outstanding maps an allocated-but-uncommitted ts to the number of
-	// shard epochs that still have to commit (or roll back) it. Multi-shard
-	// transaction commits are the only units with refcount > 1.
-	outstanding map[uint64]int
+	// outstanding holds every allocated ts whose epoch has not yet
+	// committed or rolled back. A unit lives in exactly one shard epoch:
+	// the connection refuses a COMMIT whose write set spans shards.
+	outstanding map[uint64]struct{}
 }
 
 // newOracle resumes from a persisted reservation (0 = fresh store).
 func newOracle(recovered uint64) *tsOracle {
-	return &tsOracle{next: recovered + 1, outstanding: make(map[uint64]int)}
+	return &tsOracle{next: recovered + 1, outstanding: make(map[uint64]struct{})}
 }
 
-// alloc draws one commit timestamp held open by refs epoch commits.
-func (o *tsOracle) alloc(refs int) uint64 {
+// alloc draws one commit timestamp, held open until its epoch releases it.
+func (o *tsOracle) alloc() uint64 {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	ts := o.next
 	o.next++
-	o.outstanding[ts] = refs
+	o.outstanding[ts] = struct{}{}
 	return ts
 }
 
-// release retires one epoch's hold on ts; at zero holds the unit is
-// stable (committed or rolled back — either way no snapshot can be torn
-// by it) and the floor may advance past it.
+// release retires ts: its unit is stable (committed or rolled back —
+// either way no snapshot can be torn by it) and the floor may advance
+// past it.
 func (o *tsOracle) release(ts uint64) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	if n, ok := o.outstanding[ts]; ok {
-		if n <= 1 {
-			delete(o.outstanding, ts)
-		} else {
-			o.outstanding[ts] = n - 1
-		}
-	}
+	delete(o.outstanding, ts)
 }
 
 // snapshot returns the current stable floor: min(outstanding) - 1, or the

@@ -15,6 +15,10 @@ import (
 	"github.com/gpm-sim/gpm/internal/workloads"
 )
 
+// queueDepth bounds each shard's admission queue and staged backlog
+// (requests); a connection pipelines at most twice this many replies.
+const queueDepth = 1024
+
 // Config configures one serving node.
 type Config struct {
 	Mode        workloads.Mode
@@ -22,11 +26,9 @@ type Config struct {
 	Sets        int           // hash sets per shard
 	MaxBatch    int           // ops per batch before forced dispatch
 	BatchWait   time.Duration // cap on how long a starved pipeline holds a partial epoch
-	QueueDepth  int           // per-shard admission queue (requests)
 	HotKeys     int           // hot-key sketch capacity per shard (0 = 128)
 	DedupWindow int           // committed request IDs remembered per shard (0 = 4096)
 	Workers     int           // GPU block goroutines per shard (0 = GOMAXPROCS)
-	CAPThreads  int
 	Seed        uint64
 	Telemetry   *telemetry.Telemetry // optional; nil disables metrics
 
@@ -58,21 +60,15 @@ func (c *Config) Normalize() error {
 	if c.BatchWait == 0 {
 		c.BatchWait = 500 * time.Microsecond
 	}
-	if c.QueueDepth == 0 {
-		c.QueueDepth = 1024
-	}
 	if c.HotKeys == 0 {
 		c.HotKeys = 128
 	}
 	if c.DedupWindow == 0 {
 		c.DedupWindow = 4096
 	}
-	if c.CAPThreads == 0 {
-		c.CAPThreads = 16
-	}
-	if c.Shards < 1 || c.Sets < 1 || c.MaxBatch < 1 || c.QueueDepth < 1 || c.BatchWait < 0 || c.HotKeys < 1 || c.DedupWindow < 1 {
-		return fmt.Errorf("serve: invalid config (shards=%d sets=%d batch=%d queue=%d wait=%s hotkeys=%d window=%d)",
-			c.Shards, c.Sets, c.MaxBatch, c.QueueDepth, c.BatchWait, c.HotKeys, c.DedupWindow)
+	if c.Shards < 1 || c.Sets < 1 || c.MaxBatch < 1 || c.BatchWait < 0 || c.HotKeys < 1 || c.DedupWindow < 1 {
+		return fmt.Errorf("serve: invalid config (shards=%d sets=%d batch=%d wait=%s hotkeys=%d window=%d)",
+			c.Shards, c.Sets, c.MaxBatch, c.BatchWait, c.HotKeys, c.DedupWindow)
 	}
 	if !ModeSupported(c.Mode) {
 		return fmt.Errorf("serve: mode %s cannot serve", c.Mode)
@@ -185,12 +181,11 @@ func NewServer(cfg Config) (*Server, error) {
 	s.cRejected = reg.Counter("serve.rejected")
 	for i := 0; i < cfg.Shards; i++ {
 		sh, err := NewShard(i, ShardConfig{
-			Mode:       cfg.Mode,
-			Sets:       cfg.Sets,
-			MaxBatch:   cfg.MaxBatch,
-			Workers:    cfg.Workers,
-			CAPThreads: cfg.CAPThreads,
-			Seed:       cfg.Seed + uint64(i),
+			Mode:     cfg.Mode,
+			Sets:     cfg.Sets,
+			MaxBatch: cfg.MaxBatch,
+			Workers:  cfg.Workers,
+			Seed:     cfg.Seed + uint64(i),
 		})
 		if err != nil {
 			return nil, fmt.Errorf("serve: shard %d: %w", i, err)
@@ -517,7 +512,7 @@ func newShardWorker(sh *Shard, cfg Config, reg *telemetry.Registry) *shardWorker
 	return &shardWorker{
 		shard:       sh,
 		cfg:         cfg,
-		reqs:        make(chan *request, cfg.QueueDepth),
+		reqs:        make(chan *request, queueDepth),
 		drainCh:     make(chan struct{}),
 		done:        make(chan struct{}),
 		dispatchCh:  make(chan *epochBatch, 1),
@@ -827,7 +822,7 @@ func (w *shardWorker) admit(r *request) {
 				if r.op == 'D' {
 					val = 0
 				}
-				w.stageWrite(eb, slot, r.key, val, r.op == 'D', w.oracle.alloc(1), r.rid)
+				w.stageWrite(eb, slot, r.key, val, r.op == 'D', w.oracle.alloc(), r.rid)
 				eb.getPos = append(eb.getPos, -1)
 				w.cSquashes.Inc()
 				w.finishAdmit(eb, r)
@@ -852,7 +847,7 @@ func (w *shardWorker) admit(r *request) {
 	if r.op == 'D' {
 		val = 0
 	}
-	w.stageWrite(eb, slot, r.key, val, r.op == 'D', w.oracle.alloc(1), r.rid)
+	w.stageWrite(eb, slot, r.key, val, r.op == 'D', w.oracle.alloc(), r.rid)
 	eb.getPos = append(eb.getPos, -1)
 	w.finishAdmit(eb, r)
 }
@@ -906,7 +901,7 @@ func (w *shardWorker) admitTxn(r *request, now time.Time, cliFloor uint64) {
 			len(e.batch.VerKeys)+len(t.keys) <= mutCap(w.cfg.MaxBatch) &&
 			w.fitsCID(e, r.rid)
 	})
-	t.cts = w.oracle.alloc(1)
+	t.cts = w.oracle.alloc()
 	for i, k := range t.keys {
 		rid := ReqID{}
 		if i == 0 {
@@ -955,8 +950,8 @@ func (w *shardWorker) dispatch() {
 // still gets a no-op kernel op (an idempotent rewrite, or a DEL of a key
 // known absent) so a mutation-bearing epoch always runs the full persist
 // path — its dedup advances, version rows, and oracle reservation must
-// commit inside a transaction window. SetIDs/DelIDs stay nil: the apply
-// tally runs off the version rows for squashed epochs.
+// commit inside a transaction window. The apply tally runs off the
+// version rows, not the kernel ops.
 func (w *shardWorker) sealKernel(eb *epochBatch) {
 	if len(eb.batch.VerKeys) == 0 {
 		return
@@ -1126,7 +1121,7 @@ func (w *shardWorker) run() {
 	for {
 		// Absorb everything already queued without blocking: this is what
 		// fills epoch N+1 while epoch N is on the device.
-		for !w.reqsClosed && w.stagedOps < w.cfg.QueueDepth {
+		for !w.reqsClosed && w.stagedOps < queueDepth {
 			select {
 			case r, ok := <-w.reqs:
 				if !ok {
@@ -1169,7 +1164,7 @@ func (w *shardWorker) run() {
 		}
 
 		var recvCh chan *request
-		if !w.reqsClosed && w.stagedOps < w.cfg.QueueDepth {
+		if !w.reqsClosed && w.stagedOps < queueDepth {
 			recvCh = w.reqs
 		}
 		drainCh := w.drainCh

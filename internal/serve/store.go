@@ -41,11 +41,6 @@ type Batch struct {
 	DelKeys          []uint64
 	GetKeys          []uint64
 
-	// SetIDs/DelIDs carry the client request ID of each mutation (zero ID =
-	// unidentified legacy request), parallel to SetKeys/DelKeys. They feed
-	// the per-ID apply tally the chaos invariant checker reads.
-	SetIDs, DelIDs []ReqID
-
 	// DedupCID/DedupSeq are the batch's dedup advances: for every client
 	// with identified requests riding this batch, the highest sequence
 	// number aboard. They are persisted into the PM dedup table inside the
@@ -164,13 +159,16 @@ type Shard struct {
 
 // ShardConfig sizes one shard.
 type ShardConfig struct {
-	Mode       workloads.Mode
-	Sets       int // hash sets (store = Sets × 8 ways × 16 B)
-	MaxBatch   int // max operations per admitted batch
-	Workers    int // GPU block goroutines (0 = GOMAXPROCS)
-	CAPThreads int // CPU threads for CAP persist phases and host serving
-	Seed       uint64
+	Mode     workloads.Mode
+	Sets     int // hash sets (store = Sets × 8 ways × 16 B)
+	MaxBatch int // max operations per admitted batch
+	Workers  int // GPU block goroutines (0 = GOMAXPROCS)
+	Seed     uint64
 }
+
+// capThreads is every shard's CPU thread count for CAP persist phases and
+// host serving.
+const capThreads = 16
 
 // SupportedModes lists the persistence modes gpmserve can run. GPUfs
 // deadlocks on fine-grained KVS updates and CPU-only has no GPU batches to
@@ -216,9 +214,6 @@ func NewShard(id int, cfg ShardConfig) (*Shard, error) {
 	if cfg.MaxBatch < 1 {
 		return nil, fmt.Errorf("serve: max batch must be >= 1, got %d", cfg.MaxBatch)
 	}
-	if cfg.CAPThreads < 1 {
-		cfg.CAPThreads = 16
-	}
 	s := &Shard{id: id, mode: cfg.Mode, maxBatch: cfg.MaxBatch}
 	blocks := kvstore.GridFor(cfg.MaxBatch)
 	for g := 1; g < blocks; g *= 2 {
@@ -233,7 +228,7 @@ func NewShard(id int, cfg ShardConfig) (*Shard, error) {
 	staging := int64(cfg.MaxBatch) * 8 * 5
 	wcfg := workloads.Config{
 		Seed:       cfg.Seed,
-		CAPThreads: cfg.CAPThreads,
+		CAPThreads: capThreads,
 		Workers:    cfg.Workers,
 		HBMSize:    store + staging + 1<<20,
 		DRAMSize:   store + 1<<20, // CAP bounce buffers
@@ -338,11 +333,9 @@ func (s *Shard) checkBatch(b *Batch) error {
 	if len(b.SetKeys) != len(b.SetVals) {
 		return fmt.Errorf("serve: shard %d: %d SET keys with %d values", s.id, len(b.SetKeys), len(b.SetVals))
 	}
-	if (b.SetIDs != nil && len(b.SetIDs) != len(b.SetKeys)) ||
-		(b.DelIDs != nil && len(b.DelIDs) != len(b.DelKeys)) ||
-		len(b.DedupCID) != len(b.DedupSeq) || len(b.DedupCID) > mutCap(s.maxBatch) {
-		return fmt.Errorf("serve: shard %d: malformed request-ID arrays (setids=%d delids=%d advances=%d/%d)",
-			s.id, len(b.SetIDs), len(b.DelIDs), len(b.DedupCID), len(b.DedupSeq))
+	if len(b.DedupCID) != len(b.DedupSeq) || len(b.DedupCID) > mutCap(s.maxBatch) {
+		return fmt.Errorf("serve: shard %d: malformed dedup advances (%d/%d)",
+			s.id, len(b.DedupCID), len(b.DedupSeq))
 	}
 	if len(b.VerKeys) != len(b.VerVals) || len(b.VerKeys) != len(b.VerDel) ||
 		len(b.VerKeys) != len(b.VerTS) ||
@@ -369,17 +362,15 @@ func (s *Shard) checkBatch(b *Batch) error {
 }
 
 // commitModel applies an acknowledged batch to the committed-state oracle
-// and tallies each identified mutation — a correctly deduplicating server
-// never lets any request ID's tally pass 1. Versioned batches (VerKeys
-// set) tally from VerIDs — the full squashed logical history — and feed
-// the MVCC chains; the kernel arrays only carry per-slot winners there.
+// and tallies each identified mutation in VerIDs — the full squashed
+// logical history, where the kernel arrays only carry per-slot winners. A
+// correctly deduplicating server never lets any request ID's tally pass 1.
+// Versioned batches (VerKeys set) also feed the MVCC chains.
 func (s *Shard) commitModel(b *Batch) {
 	s.store.ApplyModel(s.model, b.SetKeys, b.SetVals, b.DelKeys)
-	for _, ids := range [][]ReqID{b.SetIDs, b.DelIDs, b.VerIDs} {
-		for _, id := range ids {
-			if !id.Zero() {
-				s.tally[id]++
-			}
+	for _, id := range b.VerIDs {
+		if !id.Zero() {
+			s.tally[id]++
 		}
 	}
 	if len(b.VerKeys) > 0 {

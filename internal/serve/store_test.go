@@ -240,7 +240,7 @@ func TestShardCrashAtRejections(t *testing.T) {
 func TestUnidentifiedCrashKeepsCommittedMarks(t *testing.T) {
 	sh := quickShard(t, workloads.GPM)
 	if _, err := sh.Apply(&Batch{
-		SetKeys: []uint64{1}, SetVals: []uint64{10}, SetIDs: []ReqID{{CID: 5, Seq: 3}},
+		SetKeys: []uint64{1}, SetVals: []uint64{10},
 		DedupCID: []uint64{5}, DedupSeq: []uint64{3},
 	}); err != nil {
 		t.Fatalf("identified batch: %v", err)

@@ -454,10 +454,10 @@ func TestTxnGCWatermarkSafety(t *testing.T) {
 // snapshot read would answer "snapshot too old".
 func TestBeginSnapshotSurvivesGCBeforePin(t *testing.T) {
 	o, sr, m := newOracle(0), newSnapRegistry(), newMVCC()
-	ts1 := o.alloc(1)
+	ts1 := o.alloc()
 	m.commitVer(9, 1, false, ts1, 0)
 	o.release(ts1)
-	ts2 := o.alloc(1) // an epoch still in flight: the floor stays at ts1
+	ts2 := o.alloc() // an epoch still in flight: the floor stays at ts1
 
 	sr.mu.Lock()
 	began := make(chan uint64)
@@ -489,7 +489,7 @@ func TestBeginSnapshotSurvivesGCBeforePin(t *testing.T) {
 	}
 }
 
-// RunTxnLoad's ledger matches the durable store: every key's final count
+// RunLoad's transaction ledger matches the durable store: every key's final count
 // equals its committed increments (no crashes, so nothing unresolved) —
 // over a uniform keyspace, and over a small zipf-hot one (theta 0.99)
 // where conflicting writers are the common case, not the tail.
@@ -510,19 +510,20 @@ func TestRunTxnLoadLedger(t *testing.T) {
 				Mode: workloads.GPM, Shards: 2, Sets: 256, MaxBatch: 32,
 				BatchWait: 200 * time.Microsecond, Workers: 1, Telemetry: tel,
 			})
-			res, err := RunTxnLoad(TxnLoadConfig{
-				Addr: addr, Conns: 3, Txns: 90, TxnSize: tc.size,
-				KeyBase: 1000, KeySpace: tc.keySpace, Dist: tc.dist, Theta: tc.theta,
+			lres, err := RunLoad(LoadConfig{
+				Addr: addr, TxnConns: 3, Txns: 90, TxnSize: tc.size,
+				TxnKeySpace: tc.keySpace, Dist: tc.dist, Theta: tc.theta,
 				Seed: 7, Retry: true,
 			})
 			if err != nil {
-				t.Fatalf("RunTxnLoad: %v", err)
+				t.Fatalf("RunLoad: %v", err)
 			}
+			res := lres.Txn
 			if res.Txns == 0 || res.Txns+res.AbortedForGood != 90 {
 				t.Errorf("resolved %d committed + %d dropped, want 90 total, some committed", res.Txns, res.AbortedForGood)
 			}
-			if res.GaveUp != 0 || res.Errors != 0 || len(res.Failures) != 0 {
-				t.Errorf("gaveUp=%d errors=%d failures=%v, want clean run", res.GaveUp, res.Errors, res.Failures)
+			if res.GaveUp != 0 || res.Errors != 0 {
+				t.Errorf("gaveUp=%d errors=%d, want clean run", res.GaveUp, res.Errors)
 			}
 			if res.ReadAnomalies != 0 {
 				t.Errorf("%d repeatable-read anomalies inside snapshots", res.ReadAnomalies)

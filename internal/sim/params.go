@@ -41,12 +41,6 @@ type Params struct {
 	PMReadBandwidth float64
 	// PMReadLatency is the media read latency (~3× DRAM, §2).
 	PMReadLatency Duration
-	// PMWriteLatency is the media write latency as observed when the WPQ
-	// cannot hide it.
-	PMWriteLatency Duration
-	// WPQEntries is the depth of the ADR write-pending queue in 64B
-	// entries; writes are durable once buffered (§2).
-	WPQEntries int
 	// PMDrainPerLine is the marginal fence cost per dirty line drained
 	// into the ADR domain (WPQ-pipelined).
 	PMDrainPerLine Duration
@@ -132,8 +126,6 @@ func Default() *Params {
 		PMRandomBW:       0.72e9,
 		PMReadBandwidth:  30e9,
 		PMReadLatency:    300 * Nanosecond,
-		PMWriteLatency:   100 * Nanosecond,
-		WPQEntries:       64,
 		PMDrainPerLine:   20 * Nanosecond,
 		LLCFenceRTT:      180 * Nanosecond,
 		PMInternalBlock:  256,
