@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet check sim-digest recover-smoke obs-smoke chaos-smoke txn-smoke determinism bench figures quick-figures clean
+.PHONY: build test race vet check sim-digest recover-smoke obs-smoke chaos-smoke txn-smoke determinism bench figures quick-figures loc clean
 
 build:
 	$(GO) build ./...
@@ -98,6 +98,16 @@ quick-figures:
 	$(GO) run ./cmd/gpmbench -experiment all -quick \
 		-trace reports/trace.json -metrics reports/metrics.tsv \
 		-timebreakdown reports/timebreakdown.tsv
+
+# Non-test Go lines per internal/* and cmd/* directory (subdirectories
+# included), then across the whole module outside bench/ — the size
+# ROADMAP aim 2 tracks. Not part of check.
+loc:
+	@for d in internal/* cmd/*; do \
+		printf '%6d %s\n' $$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l) $$d; \
+	done
+	@printf '%6d total outside bench/\n' \
+		$$(find . -path ./bench -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l)
 
 clean:
 	rm -f reports/out_*.txt reports/trace.json reports/metrics.tsv reports/timebreakdown.tsv

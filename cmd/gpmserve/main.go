@@ -29,8 +29,7 @@ import (
 // happens before a listener or shard exists, with exit 2 + usage.
 type cliOptions struct {
 	addr, mode, adminAddr, audit string
-	shards, sets, batch, hotKeys int
-	workers                      int
+	shards, sets, batch, workers int
 	batchWait, drain             time.Duration
 }
 
@@ -62,9 +61,6 @@ func validateCLI(o cliOptions) error {
 	if o.drain <= 0 {
 		return fmt.Errorf("-drain-timeout must be > 0, got %s", o.drain)
 	}
-	if o.hotKeys < 1 {
-		return fmt.Errorf("-hotkeys must be >= 1, got %d", o.hotKeys)
-	}
 	return nil
 }
 
@@ -76,7 +72,6 @@ func main() {
 		sets      = flag.Int("sets", 1<<10, "hash sets per shard (8 ways each)")
 		batch     = flag.Int("batch", 256, "max client ops per kernel batch")
 		batchWait = flag.Duration("batch-wait", 500*time.Microsecond, "upper bound on how long a starved pipeline holds a partial batch open")
-		hotKeys   = flag.Int("hotkeys", 128, "per-shard hot-key sketch capacity for the eADR read cache")
 		workers   = flag.Int("workers", 0, "GPU block goroutines per shard (0 = GOMAXPROCS; simulated results are identical for every value)")
 		seed      = flag.Uint64("seed", 1, "shard RNG seed base")
 		drain     = flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown budget: pending batches flush, then stragglers are cut")
@@ -88,8 +83,7 @@ func main() {
 
 	o := cliOptions{
 		addr: *addr, mode: *modeName, adminAddr: *adminAddr, audit: *auditPath,
-		shards: *shards, sets: *sets, batch: *batch, hotKeys: *hotKeys,
-		workers:   *workers,
+		shards: *shards, sets: *sets, batch: *batch, workers: *workers,
 		batchWait: *batchWait, drain: *drain,
 	}
 	if err := validateCLI(o); err != nil {
@@ -121,7 +115,6 @@ func runServer(o cliOptions, mode workloads.Mode, seed uint64, metricsTo string)
 		Sets:      o.sets,
 		MaxBatch:  o.batch,
 		BatchWait: o.batchWait,
-		HotKeys:   o.hotKeys,
 		Workers:   o.workers,
 		Seed:      seed,
 		Telemetry: tel,

@@ -10,8 +10,7 @@ import (
 func okOptions() cliOptions {
 	return cliOptions{
 		addr: "127.0.0.1:7070", mode: "GPM",
-		shards: 2, sets: 64, batch: 16, hotKeys: 128,
-		workers:   0,
+		shards: 2, sets: 64, batch: 16, workers: 0,
 		batchWait: time.Millisecond, drain: time.Second,
 	}
 }
@@ -32,7 +31,6 @@ func TestValidateCLI(t *testing.T) {
 		{"negative wait", func(o *cliOptions) { o.batchWait = -time.Second }, "-batch-wait"},
 		{"negative workers", func(o *cliOptions) { o.workers = -1 }, "-workers"},
 		{"zero drain", func(o *cliOptions) { o.drain = 0 }, "-drain-timeout"},
-		{"zero hotkeys", func(o *cliOptions) { o.hotKeys = 0 }, "-hotkeys"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

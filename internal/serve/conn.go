@@ -234,13 +234,10 @@ func (s *Server) dispatch(line string, st *connState, instant func(string), futu
 			return
 		}
 		val, ok, tooOld := s.shardFor(r.key).shard.MVCCReadAt(r.key, r.snap)
-		switch {
-		case tooOld:
+		if tooOld {
 			instant(r.line("ERR snapshot too old"))
-		case ok:
-			instant(r.line("VALUE " + strconv.FormatUint(val, 10)))
-		default:
-			instant(r.line("NOTFOUND"))
+		} else {
+			instant(r.line(valueReply(val, ok)))
 		}
 		return
 	case 'C':

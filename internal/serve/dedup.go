@@ -40,7 +40,6 @@ type dedupState struct {
 	window  map[ReqID]windowEntry
 	ring    []ReqID // insertion ring; evicts FIFO once full
 	head    int
-	evicted int64 // window entries dropped (telemetry)
 
 	// holes are rolled-back-but-retriable seqs per client: admission
 	// barriers until their retry re-commits.
@@ -256,7 +255,6 @@ func (d *dedupState) insert(rid ReqID, e windowEntry) {
 	} else {
 		delete(d.window, d.ring[d.head])
 		d.ring[d.head] = rid
-		d.evicted++
 	}
 	d.head = (d.head + 1) % d.cap
 	d.window[rid] = e

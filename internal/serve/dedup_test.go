@@ -45,8 +45,10 @@ func assertExactlyOnce(t *testing.T, srv *Server) {
 // Identified requests replay their original replies on retry: the resend
 // never reaches the store a second time.
 func TestDedupReplayAfterReply(t *testing.T) {
+	tel := telemetry.New()
 	srv, addr := startServer(t, Config{
 		Mode: workloads.GPM, Shards: 1, Sets: 64, MaxBatch: 8, Workers: 1,
+		Telemetry: tel,
 	})
 	br, c := dial(t, addr)
 	defer c.Close()
@@ -72,8 +74,9 @@ func TestDedupReplayAfterReply(t *testing.T) {
 	c.Close()
 	srv.Shutdown(5 * time.Second)
 	assertExactlyOnce(t, srv)
-	// Replays must not have reached the store: 6 unique store ops.
-	if got := srv.Shards()[0].Ops(); got != 6 {
+	// Replays must not have reached the store: 6 unique ops, applied or
+	// answered from the committed image.
+	if got := servedOps(srv, tel); got != 6 {
 		t.Errorf("shard served %d ops, want 6 (replays must not re-apply)", got)
 	}
 }
@@ -107,9 +110,10 @@ func TestDedupIDReuseRejected(t *testing.T) {
 // mutation below the client's committed high-water mark still acknowledges
 // without re-applying, and a retried read re-executes.
 func TestDedupWindowEviction(t *testing.T) {
+	tel := telemetry.New()
 	srv, addr := startServer(t, Config{
 		Mode: workloads.GPM, Shards: 1, Sets: 64, MaxBatch: 4, Workers: 1,
-		DedupWindow: 2,
+		DedupWindow: 2, Telemetry: tel,
 	})
 	br, c := dial(t, addr)
 	defer c.Close()
@@ -138,7 +142,7 @@ func TestDedupWindowEviction(t *testing.T) {
 	c.Close()
 	srv.Shutdown(5 * time.Second)
 	assertExactlyOnce(t, srv)
-	if got := srv.Shards()[0].Ops(); got != 6 {
+	if got := servedOps(srv, tel); got != 6 {
 		t.Errorf("shard served %d ops, want 6 (evicted retries must not re-apply)", got)
 	}
 }

@@ -175,9 +175,9 @@ func (s *Shard) DedupSnapshot() map[uint64]uint64 {
 // duplicate-apply invariant must catch.
 func (s *Shard) DisableDedupPersist() { s.noDedupPersist = true }
 
-// TallyViolations returns every request ID applied to the committed oracle
-// more than once, sorted — the exactly-once invariant is that this is
-// always empty.
+// TallyViolations returns every request ID committed to the image more
+// than once, sorted — the exactly-once invariant is that this is always
+// empty.
 func (s *Shard) TallyViolations() []ReqID {
 	var out []ReqID
 	for id, n := range s.tally {

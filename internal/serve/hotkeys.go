@@ -1,134 +1,54 @@
 package serve
 
-import "sync"
+// hotMinHits is the sketch count at which a key is hot: a GET of a slot
+// whose committed occupant is hot is answered from the committed image.
+const hotMinHits = 2
 
-// hotKeyCache is the shard's eADR-domain read path: a space-saving top-K
-// sketch detecting hot keys, plus a committed-slot value cache that serves
-// hot GETs without a kernel trip. The cache is keyed by store slot and
-// mirrors the COMMITTED state of that slot (the pair an acknowledged
-// client was promised), so a lookup answers definitively for any key
-// hashing there: matching key -> its value, different key -> the slot is
-// occupied by someone else and the requested key is durably absent.
-//
-// Consistency is split between the two pipeline goroutines: the batcher
-// consults the cache only for slots with no staged or in-flight mutation
-// (the epoch conflict map gates it), and the applier refreshes or drops
-// every cached slot its epoch mutated immediately after the epoch commits.
-// A hit therefore always returns the latest arrival-order value.
-type hotKeyCache struct {
-	mu      sync.Mutex
-	k       int   // sketch capacity (distinct tracked keys)
-	minHits int64 // sketch count before a key's slot is cacheable
+// hotKeys is the sketch capacity (distinct tracked keys) per shard.
+const hotKeys = 128
 
-	counts map[uint64]int64   // space-saving counters, key -> hits
-	slots  map[int]cachedSlot // slot -> committed pair
-	byKey  map[uint64]int     // tracked key -> cached slot (eviction index)
+// hotKeySketch is the space-saving top-K sketch that decides which slots
+// the shard's read path answers from the committed image (the eADR-domain
+// read path) instead of a kernel trip. It is owned by the batcher
+// goroutine and takes no lock.
+type hotKeySketch struct {
+	k      int
+	counts map[uint64]int64 // space-saving counters, key -> hits
+	hot    int              // tracked keys at or above hotMinHits (hot_slots)
 }
 
-// cachedSlot is one committed store slot: key 0 means durably empty.
-type cachedSlot struct{ key, val uint64 }
-
-func newHotKeyCache(k int) *hotKeyCache {
-	return &hotKeyCache{
-		k:       k,
-		minHits: 2,
-		counts:  make(map[uint64]int64, k),
-		slots:   make(map[int]cachedSlot, k),
-		byKey:   make(map[uint64]int, k),
-	}
+func newHotKeySketch(k int) *hotKeySketch {
+	return &hotKeySketch{k: k, counts: make(map[uint64]int64, k)}
 }
 
 // Observe counts one access. When the sketch is full, the coldest tracked
 // key is evicted and the newcomer inherits its count + 1 (the space-saving
-// overestimate bound), dropping the evictee's cached slot with it.
-func (h *hotKeyCache) Observe(key uint64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if c, ok := h.counts[key]; ok {
-		h.counts[key] = c + 1
-		return
-	}
-	if len(h.counts) < h.k {
-		h.counts[key] = 1
-		return
-	}
-	var coldKey uint64
-	coldC := int64(-1)
-	for k2, c2 := range h.counts {
-		if coldC < 0 || c2 < coldC {
-			coldKey, coldC = k2, c2
+// overestimate bound) — and with it a hot evictee's place in hot.
+func (h *hotKeySketch) Observe(key uint64) {
+	c, ok := h.counts[key]
+	if !ok && len(h.counts) >= h.k {
+		var coldKey uint64
+		c = -1
+		for k2, c2 := range h.counts {
+			if c < 0 || c2 < c {
+				coldKey, c = k2, c2
+			}
 		}
+		delete(h.counts, coldKey)
 	}
-	delete(h.counts, coldKey)
-	if slot, ok := h.byKey[coldKey]; ok {
-		delete(h.byKey, coldKey)
-		delete(h.slots, slot)
+	h.counts[key] = c + 1
+	if c+1 == hotMinHits {
+		h.hot++
 	}
-	h.counts[key] = coldC + 1
 }
 
-// Hot reports whether key is tracked with enough hits to be worth caching.
-func (h *hotKeyCache) Hot(key uint64) bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.counts[key] >= h.minHits
-}
+// Hot reports whether key is tracked with enough hits to be read from the
+// committed image.
+func (h *hotKeySketch) Hot(key uint64) bool { return h.counts[key] >= hotMinHits }
 
-// Lookup serves a GET from the cached committed slot. ok=false means the
-// slot is not cached (take the kernel path); otherwise val is the reply
-// (0 = the key is durably absent).
-func (h *hotKeyCache) Lookup(key uint64, slot int) (val uint64, ok bool) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	s, ok := h.slots[slot]
-	if !ok {
-		return 0, false
-	}
-	if s.key != key {
-		return 0, true // slot committed to a different key: this one is absent
-	}
-	return s.val, true
-}
-
-// CommitSlot installs or refreshes the committed pair of a slot, called by
-// the applier after the epoch holding the mutation (or the hot GET that
-// warranted caching) is durable. Slots whose occupant is no longer a
-// tracked-hot key are dropped rather than refreshed.
-func (h *hotKeyCache) CommitSlot(slot int, key, val uint64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	old, cached := h.slots[slot]
-	hot := key != 0 && h.counts[key] >= h.minHits
-	if !cached && !hot {
-		return
-	}
-	if cached && old.key != key {
-		delete(h.byKey, old.key)
-	}
-	if !hot {
-		// Occupant went cold (or the slot emptied): a stale entry is a
-		// correctness bug, an absent one is only a missed hit.
-		delete(h.slots, slot)
-		return
-	}
-	h.slots[slot] = cachedSlot{key: key, val: val}
-	h.byKey[key] = slot
-}
-
-// Reset drops every cached slot and sketch counter. Called after a
-// crash-restart: a CrashBeforeReply cut commits mutations whose cache
-// refresh never ran, so the cheap safe move is to start cold.
-func (h *hotKeyCache) Reset() {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.counts = make(map[uint64]int64, h.k)
-	h.slots = make(map[int]cachedSlot, h.k)
-	h.byKey = make(map[uint64]int, h.k)
-}
-
-// Len returns the number of cached slots (telemetry).
-func (h *hotKeyCache) Len() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.slots)
+// Reset forgets every counter: after a crash-restart the read path starts
+// cold.
+func (h *hotKeySketch) Reset() {
+	clear(h.counts)
+	h.hot = 0
 }

@@ -2,93 +2,35 @@ package serve
 
 import "testing"
 
-// The cache only serves slots it has been given committed state for, and
-// a lookup is definitive: matching key -> value, different key -> the
-// requested key is durably absent from that slot.
-func TestHotKeyCacheLookupSemantics(t *testing.T) {
-	h := newHotKeyCache(4)
-	if _, ok := h.Lookup(1, 10); ok {
-		t.Fatal("empty cache should miss")
-	}
-	h.Observe(1)
-	h.Observe(1) // hot at minHits=2
-	h.CommitSlot(10, 1, 100)
-	if v, ok := h.Lookup(1, 10); !ok || v != 100 {
-		t.Fatalf("Lookup(1) = (%d, %v), want (100, true)", v, ok)
-	}
-	// Another key hashing to the cached slot: durably absent.
-	if v, ok := h.Lookup(2, 10); !ok || v != 0 {
-		t.Fatalf("Lookup(2) = (%d, %v), want (0, true)", v, ok)
-	}
-}
-
-// Cold keys never enter the value cache; committing a cold occupant drops
-// the slot instead of refreshing it.
-func TestHotKeyCacheColdKeysNotCached(t *testing.T) {
-	h := newHotKeyCache(4)
-	h.Observe(1) // one hit: below minHits
-	h.CommitSlot(10, 1, 100)
-	if _, ok := h.Lookup(1, 10); ok {
-		t.Fatal("cold key should not be cached")
-	}
-	h.Observe(1)
-	h.CommitSlot(10, 1, 100)
-	if _, ok := h.Lookup(1, 10); !ok {
-		t.Fatal("hot key should cache")
-	}
-	// Slot emptied (DEL): key 0 is never hot, entry must drop.
-	h.CommitSlot(10, 0, 0)
-	if _, ok := h.Lookup(1, 10); ok {
-		t.Fatal("emptied slot should drop from the cache")
-	}
-}
-
-// CommitSlot with new state must replace, not shadow, the old pair.
-func TestHotKeyCacheRefreshOnCommit(t *testing.T) {
-	h := newHotKeyCache(4)
-	h.Observe(7)
-	h.Observe(7)
-	h.CommitSlot(3, 7, 70)
-	h.CommitSlot(3, 7, 71)
-	if v, ok := h.Lookup(7, 3); !ok || v != 71 {
-		t.Fatalf("after refresh Lookup = (%d, %v), want (71, true)", v, ok)
-	}
-	// A different hot key taking over the slot evicts the old mapping.
-	h.Observe(9)
-	h.Observe(9)
-	h.CommitSlot(3, 9, 90)
-	if v, ok := h.Lookup(9, 3); !ok || v != 90 {
-		t.Fatalf("takeover Lookup(9) = (%d, %v), want (90, true)", v, ok)
-	}
-	if v, ok := h.Lookup(7, 3); !ok || v != 0 {
-		t.Fatalf("evicted Lookup(7) = (%d, %v), want (0, true) — absent", v, ok)
-	}
-}
-
-// The space-saving sketch keeps at most k tracked keys; evicting a tracked
-// key also evicts its cached slot, and the newcomer inherits count+1.
+// The space-saving sketch keeps at most k tracked keys; the newcomer that
+// displaces the coldest key inherits its count+1, and the hot count follows.
 func TestHotKeyCacheSketchEviction(t *testing.T) {
-	h := newHotKeyCache(2)
+	h := newHotKeySketch(2)
 	for i := 0; i < 5; i++ {
 		h.Observe(1) // clearly hottest
 	}
 	h.Observe(2)
 	h.Observe(2)
-	h.CommitSlot(11, 1, 10)
-	h.CommitSlot(12, 2, 20)
-	if h.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", h.Len())
+	if h.hot != 2 {
+		t.Fatalf("hot = %d, want 2", h.hot)
 	}
 	// Key 3 displaces the coldest (2) and inherits its count: immediately
-	// hot, while 2's cached slot goes with it.
+	// hot, while 2 leaves the sketch.
 	h.Observe(3)
 	if !h.Hot(3) {
 		t.Error("newcomer should inherit the evictee's count and be hot")
 	}
-	if _, ok := h.Lookup(2, 12); ok {
-		t.Error("evicted key's slot should leave the cache")
+	if h.Hot(2) {
+		t.Error("evicted key should no longer be hot")
 	}
-	if v, ok := h.Lookup(1, 11); !ok || v != 10 {
-		t.Errorf("hottest key evicted: Lookup(1) = (%d, %v), want (10, true)", v, ok)
+	if !h.Hot(1) {
+		t.Error("hottest key evicted")
+	}
+	if h.hot != 2 {
+		t.Errorf("hot = %d after eviction, want 2", h.hot)
+	}
+	h.Reset()
+	if h.Hot(1) || h.hot != 0 {
+		t.Errorf("after Reset: Hot(1) = %v, hot = %d; want cold", h.Hot(1), h.hot)
 	}
 }

@@ -16,21 +16,20 @@ type mvccVersion struct {
 	val uint64
 }
 
-// mvccState is a shard's multi-version view of the committed store: per-key
-// version chains (ascending ts) fed by epoch group-commits, bounded by the
-// watermark GC. It answers snapshot reads (GET@ts), latest reads (plain
-// GET), and conflict checks (latest commit ts of a key) without touching
-// the kernel, so reads resolve against a stable snapshot while conflicting
-// writers share one kernel epoch.
+// mvccState is a shard's one committed image: the slot array the durable
+// store must equal, plus per-key version chains (ascending ts) fed by the
+// same epoch group-commits and bounded by the watermark GC. It answers
+// snapshot reads (GET@ts), conflict checks (latest commit ts of a key),
+// the slot base images write-squashing folds over, hot GETs, and Verify,
+// without touching the kernel.
 //
-// Guarded by its own mutex: the applier commits versions at group-commit
-// while the batcher resolves instant reads and connection goroutines serve
-// GET@ts — version chains are the one store surface read outside the
-// applier goroutine.
+// Guarded by its own mutex: the applier folds each committed batch in at
+// group-commit while the batcher reads slot images and connection
+// goroutines serve GET@ts.
 type mvccState struct {
-	mu      sync.Mutex
-	chains  map[uint64][]mvccVersion
-	slotKey map[int]uint64 // slot -> committed occupant key (0 = empty)
+	mu     sync.Mutex
+	chains map[uint64][]mvccVersion
+	slots  []uint64 // slot -> committed key, value (kvstore's model layout; key 0 = empty)
 	// floorTS is the oldest readable snapshot: versions at or below it may
 	// have been garbage-collected (or predate a crash-restart rebuild), so a
 	// read at ts < floorTS answers "snapshot too old" instead of lying.
@@ -38,8 +37,8 @@ type mvccState struct {
 	maxTS   uint64 // highest version ts committed (legacy batches append past it)
 }
 
-func newMVCC() *mvccState {
-	return &mvccState{chains: make(map[uint64][]mvccVersion), slotKey: make(map[int]uint64)}
+func newMVCC(slots int) *mvccState {
+	return &mvccState{chains: make(map[uint64][]mvccVersion), slots: make([]uint64, 2*slots)}
 }
 
 // insertVersion places {ts, val} into key's chain keeping ascending ts.
@@ -67,24 +66,24 @@ func (m *mvccState) insertVersion(key, ts, val uint64) {
 	}
 }
 
-// commitVer applies one committed logical mutation to the version view.
-// A SET claims its slot: a colliding incumbent key is evicted, which is a
-// delete at the same timestamp (the hash store holds one pair per slot).
+// commitVer folds one committed logical mutation into the image and the
+// chains; the caller holds mu. A SET claims its slot: a colliding incumbent
+// key is evicted, which is a delete at the same timestamp (the hash store
+// holds one pair per slot). A DEL empties the slot only if the key holds it.
 func (m *mvccState) commitVer(key, val uint64, del bool, ts uint64, slot int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	occ := m.slots[2*slot]
 	if del {
 		m.insertVersion(key, ts, 0)
-		if m.slotKey[slot] == key {
-			delete(m.slotKey, slot)
+		if occ == key {
+			m.slots[2*slot], m.slots[2*slot+1] = 0, 0
 		}
 		return
 	}
-	if occ := m.slotKey[slot]; occ != 0 && occ != key {
+	if occ != 0 && occ != key {
 		m.insertVersion(occ, ts, 0)
 	}
 	m.insertVersion(key, ts, val)
-	m.slotKey[slot] = key
+	m.slots[2*slot], m.slots[2*slot+1] = key, val
 }
 
 // readAt resolves key at snapshot ts: the newest version with version.ts <=
@@ -108,17 +107,6 @@ func (m *mvccState) readAt(key, ts uint64) (val uint64, found, tooOld bool) {
 	return 0, false, false
 }
 
-// latest resolves key at the newest committed version.
-func (m *mvccState) latest(key uint64) (val uint64, found bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	ch := m.chains[key]
-	if n := len(ch); n > 0 && ch[n-1].val != 0 {
-		return ch[n-1].val, true
-	}
-	return 0, false
-}
-
 // latestTS returns the newest committed version timestamp of key (0 =
 // never written) — the commit-window conflict check: a transaction at
 // snapshot S conflicts on key when latestTS(key) > S.
@@ -131,19 +119,12 @@ func (m *mvccState) latestTS(key uint64) uint64 {
 	return 0
 }
 
-// slotImage returns the committed (key, value) occupying a slot — the base
-// image epoch write-squashing folds staged mutations over.
+// slotImage returns the committed (key, value) occupying a slot (key 0 =
+// empty).
 func (m *mvccState) slotImage(slot int) (key, val uint64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	occ := m.slotKey[slot]
-	if occ == 0 {
-		return 0, 0
-	}
-	if ch := m.chains[occ]; len(ch) > 0 {
-		return occ, ch[len(ch)-1].val
-	}
-	return 0, 0
+	return m.slots[2*slot], m.slots[2*slot+1]
 }
 
 // gc trims every chain to the newest version at or below the watermark
@@ -178,32 +159,23 @@ func (m *mvccState) gc(wm uint64) {
 	m.floorTS = wm
 }
 
-// reset rebuilds the version view from a committed slot image (the model)
-// after a crash-restart: every live key gets a single version at rts, and
-// the floor rises to rts — pre-crash snapshots answer "snapshot too old"
-// instead of reading chains the crash discarded.
-func (m *mvccState) reset(model []uint64, rts uint64) {
+// reset rebuilds the version chains from the committed image after a
+// crash-restart: every live key gets a single version at rts, and the floor
+// rises to rts — pre-crash snapshots answer "snapshot too old" instead of
+// reading chains the crash discarded.
+func (m *mvccState) reset(rts uint64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.chains = make(map[uint64][]mvccVersion)
-	m.slotKey = make(map[int]uint64)
-	for slot := 0; slot*2 < len(model); slot++ {
-		if key := model[slot*2]; key != 0 {
-			m.chains[key] = []mvccVersion{{ts: rts, val: model[slot*2+1]}}
-			m.slotKey[slot] = key
+	for slot := 0; slot*2 < len(m.slots); slot++ {
+		if key := m.slots[slot*2]; key != 0 {
+			m.chains[key] = []mvccVersion{{ts: rts, val: m.slots[slot*2+1]}}
 		}
 	}
 	if rts > m.maxTS {
 		m.maxTS = rts
 	}
 	m.floorTS = rts
-}
-
-// versions returns the chain length of key (tests).
-func (m *mvccState) versions(key uint64) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.chains[key])
 }
 
 // floor returns the current GC floor (tests, statusz).
@@ -220,9 +192,10 @@ func (s *Shard) MVCCReadAt(key, ts uint64) (val uint64, found, tooOld bool) {
 	return s.mvcc.readAt(key, ts)
 }
 
-// MVCCLatest answers a plain GET from the newest committed version.
+// MVCCLatest answers a plain GET from the committed image.
 func (s *Shard) MVCCLatest(key uint64) (val uint64, found bool) {
-	return s.mvcc.latest(key)
+	k, v := s.mvcc.slotImage(s.SlotOf(key))
+	return v, k == key
 }
 
 // MVCCLatestTS is the commit-window conflict probe.
@@ -234,42 +207,38 @@ func (s *Shard) MVCCSlotImage(slot int) (key, val uint64) { return s.mvcc.slotIm
 // MVCCGC trims version chains to the watermark.
 func (s *Shard) MVCCGC(wm uint64) { s.mvcc.gc(wm) }
 
-// MVCCReset rebuilds chains from the committed model at rts (crash-restart).
-func (s *Shard) MVCCReset(rts uint64) { s.mvcc.reset(s.model, rts) }
-
-// MVCCVersions is the chain length of key (tests).
-func (s *Shard) MVCCVersions(key uint64) int { return s.mvcc.versions(key) }
+// MVCCReset rebuilds chains from the committed image at rts (crash-restart).
+func (s *Shard) MVCCReset(rts uint64) { s.mvcc.reset(rts) }
 
 // MVCCFloor is the oldest readable snapshot (tests, statusz).
 func (s *Shard) MVCCFloor() uint64 { return s.mvcc.floor() }
 
-// mvccCommit folds a committed batch's logical mutations into the version
-// chains. Runs in the applier goroutine at the point the batch is known
-// durable, same as commitModel.
+// mvccCommit folds a committed batch into the image and the version chains
+// under one lock. Runs in the applier goroutine at the point the batch is
+// known durable. A versioned batch folds its logical mutations (VerKeys); a
+// legacy direct-Apply batch (store tests, crash harnesses) has none, so its
+// kernel arrays commit as one atomic unit at one synthetic ts just past
+// everything already versioned.
 func (s *Shard) mvccCommit(b *Batch) {
+	m := s.mvcc
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if len(b.VerKeys) == 0 {
+		ts := m.maxTS + 1
+		for i, key := range b.SetKeys {
+			m.commitVer(key, b.SetVals[i], false, ts, s.SlotOf(key))
+		}
+		for _, key := range b.DelKeys {
+			m.commitVer(key, 0, true, ts, s.SlotOf(key))
+		}
+		return
+	}
 	for i, key := range b.VerKeys {
 		var val uint64
 		if !b.VerDel[i] {
 			val = b.VerVals[i]
 		}
-		s.mvcc.commitVer(key, val, b.VerDel[i], b.VerTS[i], s.SlotOf(key))
-	}
-}
-
-// mvccLegacyCommit versions a batch admitted without explicit commit
-// timestamps (direct Apply callers: store tests, crash harnesses). The
-// whole batch is one atomic unit, so it commits at one synthetic ts just
-// past everything already versioned.
-func (s *Shard) mvccLegacyCommit(b *Batch) {
-	m := s.mvcc
-	m.mu.Lock()
-	ts := m.maxTS + 1
-	m.mu.Unlock()
-	for i, key := range b.SetKeys {
-		m.commitVer(key, b.SetVals[i], false, ts, s.SlotOf(key))
-	}
-	for _, key := range b.DelKeys {
-		m.commitVer(key, 0, true, ts, s.SlotOf(key))
+		m.commitVer(key, val, b.VerDel[i], b.VerTS[i], s.SlotOf(key))
 	}
 }
 

@@ -74,15 +74,15 @@ func TestRequestTraceCacheHit(t *testing.T) {
 	tracer := obs.NewRequestTracer(1, time.Hour, 64)
 	srv, addr := startServer(t, Config{
 		Mode: workloads.GPM, Shards: 1, Sets: 64, MaxBatch: 8,
-		BatchWait: 100 * time.Microsecond, Workers: 1, HotKeys: 16,
+		BatchWait: 100 * time.Microsecond, Workers: 1,
 		Telemetry: telemetry.New(), Trace: tracer,
 	})
 	br, c := dial(t, addr)
 	defer c.Close()
 
 	roundTrip(t, c, br, "SET 5 50")
-	// Repeated GETs heat the key; the cache fills after a batched GET of a
-	// hot key, so later GETs hit.
+	// Repeated GETs heat the key: once it is hot, GETs are answered from the
+	// committed image with no epoch.
 	for i := 0; i < 6; i++ {
 		if got := roundTrip(t, c, br, "GET 5"); got != "VALUE 50" {
 			t.Fatalf("GET 5 -> %q", got)

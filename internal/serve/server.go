@@ -26,7 +26,6 @@ type Config struct {
 	Sets        int           // hash sets per shard
 	MaxBatch    int           // ops per batch before forced dispatch
 	BatchWait   time.Duration // cap on how long a starved pipeline holds a partial epoch
-	HotKeys     int           // hot-key sketch capacity per shard (0 = 128)
 	DedupWindow int           // committed request IDs remembered per shard (0 = 4096)
 	Workers     int           // GPU block goroutines per shard (0 = GOMAXPROCS)
 	Seed        uint64
@@ -60,15 +59,12 @@ func (c *Config) Normalize() error {
 	if c.BatchWait == 0 {
 		c.BatchWait = 500 * time.Microsecond
 	}
-	if c.HotKeys == 0 {
-		c.HotKeys = 128
-	}
 	if c.DedupWindow == 0 {
 		c.DedupWindow = 4096
 	}
-	if c.Shards < 1 || c.Sets < 1 || c.MaxBatch < 1 || c.BatchWait < 0 || c.HotKeys < 1 || c.DedupWindow < 1 {
-		return fmt.Errorf("serve: invalid config (shards=%d sets=%d batch=%d wait=%s hotkeys=%d window=%d)",
-			c.Shards, c.Sets, c.MaxBatch, c.BatchWait, c.HotKeys, c.DedupWindow)
+	if c.Shards < 1 || c.Sets < 1 || c.MaxBatch < 1 || c.BatchWait < 0 || c.DedupWindow < 1 {
+		return fmt.Errorf("serve: invalid config (shards=%d sets=%d batch=%d wait=%s window=%d)",
+			c.Shards, c.Sets, c.MaxBatch, c.BatchWait, c.DedupWindow)
 	}
 	if !ModeSupported(c.Mode) {
 		return fmt.Errorf("serve: mode %s cannot serve", c.Mode)
@@ -109,6 +105,14 @@ func (r *request) line(body string) string {
 	return r.rid.String() + " " + body
 }
 
+// valueReply is the body of every GET reply: the value, or NOTFOUND.
+func valueReply(val uint64, found bool) string {
+	if !found {
+		return "NOTFOUND"
+	}
+	return "VALUE " + strconv.FormatUint(val, 10)
+}
+
 // fingerprint condenses a request payload for ID-reuse detection: a
 // committed ID presented again with a different (op, key, val) is a client
 // bug and is rejected rather than silently replayed.
@@ -135,8 +139,8 @@ func opName(op byte) string {
 // Server accepts TCP connections speaking the line protocol of conn.go
 // and dispatches requests to per-shard pipeline workers. Replies are
 // written in request order per connection, each only after the persist
-// epoch containing its mutation is durable (reads with no pending write may
-// be served from the hot-key cache, whose contents are committed state by
+// epoch containing its mutation is durable (hot reads with no pending write
+// may be answered from the shard's committed image, durable by
 // construction).
 type Server struct {
 	cfg     Config
@@ -262,7 +266,6 @@ type ShardStatus struct {
 	ConflictChains int64 `json:"conflict_chains"`
 	HotSlots       int64 `json:"hot_slots"`
 	CacheHits      int64 `json:"cache_hits"`
-	CacheFills     int64 `json:"cache_fills"`
 	Errors         int64 `json:"errors"`
 	DedupHits      int64 `json:"dedup_hits"`
 	DedupReuse     int64 `json:"dedup_reuse"`
@@ -290,7 +293,6 @@ func (s *Server) Status() []ShardStatus {
 			ConflictChains: w.cChains.Value(),
 			HotSlots:       w.gHotSlots.Value(),
 			CacheHits:      w.cCacheHits.Value(),
-			CacheFills:     w.cCacheFills.Value(),
 			Errors:         w.cErrors.Value(),
 			DedupHits:      w.cDedupHits.Value(),
 			DedupReuse:     w.cDedupReuse.Value(),
@@ -419,9 +421,10 @@ type epochBatch struct {
 	ok      bool              // epoch committed (false: error or rolled back)
 	resync  map[uint64]uint64 // non-nil after a crash-restart: PM hwm snapshot
 	// Valid only when resync != nil: whether the crashed epoch's transaction
-	// was durable before the power cut (CrashBeforeReply) or rolled back. A
-	// rolled-back crash flushes the staged pipeline and opens dedup holes.
-	committed bool
+	// was durable before the power cut (CrashBeforeReply) or rolled back — a
+	// rolled-back crash flushes the staged pipeline and opens dedup holes —
+	// and whether the shard recovered at all.
+	committed, recovered bool
 
 	sealedAt  time.Time     // dispatch instant (epoch lag measures from here)
 	applyWall time.Duration // wall cost of Apply, fed back to the controller
@@ -438,13 +441,13 @@ var fillBuckets = []int64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}
 //	  consecutive epochs via per-epoch conflict maps; an adaptive
 //	  controller decides how long a starved pipeline holds a partial
 //	  epoch. Hot GETs with no pending mutation are answered straight from
-//	  the committed-slot cache, no kernel trip.
+//	  the shard's committed image, no kernel trip.
 //	applier (applyLoop): executes one epoch at a time on the shard
 //	  (stage -> kernel -> persist) and group-commits every reply in the
 //	  epoch the moment it is durable.
 //
-// All admission maps are owned by the batcher goroutine; the applier
-// touches only the shard, the reply futures, and the (locked) hot cache.
+// All admission maps and the hot-key sketch are owned by the batcher
+// goroutine; the applier touches only the shard and the reply futures.
 type shardWorker struct {
 	shard *Shard
 	cfg   Config
@@ -463,8 +466,8 @@ type shardWorker struct {
 	commitCh    chan *epochBatch // applier -> batcher, buffered 1
 	applierDone chan struct{}
 
-	ctrl  *batchController
-	cache *hotKeyCache
+	ctrl   *batchController
+	sketch *hotKeySketch
 
 	// batcher-owned pipeline state
 	staged     []*epochBatch     // staged[0] is next to dispatch
@@ -477,6 +480,7 @@ type shardWorker struct {
 	stagedOps  int               // ops across staged epochs (admission backpressure)
 	drained    bool
 	reqsClosed bool
+	shardDown  bool // recovery failed: the image no longer describes the store
 
 	gQueue      *telemetry.Gauge
 	gOccupancy  *telemetry.Gauge
@@ -492,7 +496,6 @@ type shardWorker struct {
 	cOps        *telemetry.Counter
 	cChains     *telemetry.Counter
 	cCacheHits  *telemetry.Counter
-	cCacheFills *telemetry.Counter
 	cErrors     *telemetry.Counter
 	cDedupHits  *telemetry.Counter
 	cDedupReuse *telemetry.Counter
@@ -519,7 +522,7 @@ func newShardWorker(sh *Shard, cfg Config, reg *telemetry.Registry) *shardWorker
 		commitCh:    make(chan *epochBatch, 1),
 		applierDone: make(chan struct{}),
 		ctrl:        newBatchController(cfg.MaxBatch, cfg.BatchWait),
-		cache:       newHotKeyCache(cfg.HotKeys),
+		sketch:      newHotKeySketch(hotKeys),
 		lastMut:     make(map[int]uint64),
 		lastRead:    make(map[int]uint64),
 		lastCli:     make(map[uint64]uint64),
@@ -538,7 +541,6 @@ func newShardWorker(sh *Shard, cfg Config, reg *telemetry.Registry) *shardWorker
 		cOps:        reg.Counter(p + "ops"),
 		cChains:     reg.Counter(p + "conflict_chains"),
 		cCacheHits:  reg.Counter(p + "cache_hits"),
-		cCacheFills: reg.Counter(p + "cache_fills"),
 		cErrors:     reg.Counter(p + "errors"),
 		cDedupHits:  reg.Counter(p + "dedup_hits"),
 		cDedupReuse: reg.Counter(p + "dedup_reuse"),
@@ -735,22 +737,18 @@ func (w *shardWorker) admit(r *request) {
 
 	slot := w.shard.SlotOf(r.key)
 	if r.op == 'G' {
-		w.cache.Observe(r.key)
+		w.sketch.Observe(r.key)
 		m, mutPending := w.lastMut[slot]
 		if !mutPending {
-			if val, ok := w.cache.Lookup(r.key, slot); ok {
-				// Committed state with no pending write: durable by
-				// construction, reply without a kernel trip.
-				var line string
-				if val != 0 {
-					line = r.line("VALUE " + strconv.FormatUint(val, 10))
-				} else {
-					line = r.line("NOTFOUND")
-				}
+			if occ, val := w.shard.MVCCSlotImage(slot); occ != 0 && w.sketch.Hot(occ) && !w.shardDown {
+				// Committed state of a hot slot with no pending write:
+				// durable by construction, reply without a kernel trip. An
+				// occupant other than the key means the key is absent.
+				line := r.line(valueReply(val, occ == r.key))
 				r.done <- line
 				if !r.rid.Zero() {
 					// Window the reply (retries replay it) but never register
-					// pending or touch PM: cache hits ride no epoch.
+					// pending or touch PM: image hits ride no epoch.
 					w.dedup.remember(r.rid, r.fpr, line)
 				}
 				w.cCacheHits.Inc()
@@ -777,13 +775,7 @@ func (w *shardWorker) admit(r *request) {
 			// NOW from the staged image, and ride the mutating epoch (or the
 			// client's floor) so the reply still waits for durability. No
 			// read mark is set — later same-slot writes keep squashing.
-			var line string
-			if val, ok := w.stagedValue(r.key, slot); ok {
-				line = r.line("VALUE " + strconv.FormatUint(val, 10))
-			} else {
-				line = r.line("NOTFOUND")
-			}
-			r.pre = line
+			r.pre = r.line(valueReply(w.stagedValue(r.key, slot)))
 			floor := cliFloor
 			if m > floor {
 				floor = m
@@ -795,7 +787,7 @@ func (w *shardWorker) admit(r *request) {
 			w.finishAdmit(eb, r)
 			return
 		}
-		// Batched kernel read: cache miss with no staged mutation.
+		// Batched kernel read: not hot, with no staged mutation.
 		eb := w.epochFrom(cliFloor, func(e *epochBatch) bool {
 			return len(e.batch.GetKeys) < w.cfg.MaxBatch && w.fitsCID(e, r.rid)
 		})
@@ -1018,6 +1010,10 @@ func (w *shardWorker) onCommit(eb *epochBatch) {
 	if eb.resync != nil {
 		w.dedup.resync(eb.resync)
 		w.cRestarts.Inc()
+		// The read path starts cold after a crash-restart, and a shard
+		// left down answers no GET from its image at all.
+		w.sketch.Reset()
+		w.shardDown = !eb.recovered
 	}
 	for i, r := range eb.pending {
 		if r.rid.Zero() {
@@ -1137,6 +1133,7 @@ func (w *shardWorker) run() {
 		w.gQueue.Set(int64(len(w.reqs)))
 		w.gStaged.Set(int64(len(w.staged)))
 		w.gTarget.Set(int64(w.ctrl.target()))
+		w.gHotSlots.Set(int64(w.sketch.hot))
 
 		// Dispatch when the device is idle. The controller only gets a say
 		// in holding the head epoch open when nothing else is staged
@@ -1227,9 +1224,9 @@ func (w *shardWorker) buildTrace(r *request, eb *epochBatch, res *BatchResult, a
 // every rider is told to retry (the crash severed the ack path whether or
 // not its batch committed — exactly the ambiguity the dedup window
 // resolves), the shard is recovered per its fired plan (nested re-crashes,
-// PM fault filtering), the hot cache starts cold, and the batcher is
-// handed the PM-recovered high-water-mark snapshot to resync admission
-// from. eb.ok stays false: riders leave the pipeline unwindowed, so their
+// PM fault filtering), and the batcher is handed the recovery outcome and
+// the PM-recovered high-water-mark snapshot to resync admission from.
+// eb.ok stays false: riders leave the pipeline unwindowed, so their
 // retries consult the recovered marks, not volatile leftovers. committed
 // says whether the batch transaction survived the cut (CrashBeforeReply)
 // or rolled back — the batcher flushes the staged pipeline and opens
@@ -1243,7 +1240,9 @@ func (w *shardWorker) handleCrash(eb *epochBatch, committed bool) {
 			eb.replies[i] = r.line("RETRY")
 		}
 	}
-	if err := w.shard.RecoverFromPlan(); err != nil {
+	err := w.shard.RecoverFromPlan()
+	eb.recovered = err == nil
+	if err != nil {
 		// Unrecoverable: leave the shard down; later epochs fail fast with
 		// plain errors and clients give up through their retry caps.
 		w.cErrors.Inc()
@@ -1257,7 +1256,6 @@ func (w *shardWorker) handleCrash(eb *epochBatch, committed bool) {
 		w.oracle.advanceTo(w.shard.RecoveredOracleHWM())
 		w.shard.MVCCReset(w.oracle.current())
 	}
-	w.cache.Reset()
 	eb.resync = w.shard.DedupSnapshot()
 	// Notify the batcher before releasing replies: by the time a client can
 	// act on a RETRY, admission has (usually) already resynced to the
@@ -1271,8 +1269,7 @@ func (w *shardWorker) handleCrash(eb *epochBatch, committed bool) {
 
 // applyLoop is the applier: one epoch at a time through the shard's
 // stage -> kernel -> persist path, then group-commit — every reply in the
-// epoch is released the moment the epoch is durable, and the hot cache is
-// refreshed from committed state.
+// epoch is released the moment the epoch is durable.
 func (w *shardWorker) applyLoop() {
 	defer close(w.applierDone)
 	for eb := range w.dispatchCh {
@@ -1305,10 +1302,9 @@ func (w *shardWorker) applyLoop() {
 				eb.replies[i] = r.line("OK")
 			case eb.getPos[i] == -2:
 				eb.replies[i] = r.pre // staged-image read, resolved at admission
-			case res.GetVals[eb.getPos[i]] != 0:
-				eb.replies[i] = r.line("VALUE " + strconv.FormatUint(res.GetVals[eb.getPos[i]], 10))
 			default:
-				eb.replies[i] = r.line("NOTFOUND")
+				v := res.GetVals[eb.getPos[i]]
+				eb.replies[i] = r.line(valueReply(v, v != 0))
 			}
 			r.done <- eb.replies[i]
 			w.hReqUS.Observe(int64(now.Sub(r.enq) / time.Microsecond))
@@ -1323,23 +1319,6 @@ func (w *shardWorker) applyLoop() {
 		w.hBatchSim.ObserveMicros(res.SimTime)
 		w.cBatches.Inc()
 		w.cOps.Add(int64(len(eb.pending)))
-
-		// Cache maintenance, committed state only: every mutated slot that
-		// is cached gets refreshed (or dropped), and slots of hot batched
-		// GETs are filled so the next read skips the kernel.
-		for slot := range eb.slots {
-			k, v := w.shard.ModelPair(slot)
-			w.cache.CommitSlot(slot, k, v)
-		}
-		for _, key := range eb.batch.GetKeys {
-			if w.cache.Hot(key) {
-				slot := w.shard.SlotOf(key)
-				k, v := w.shard.ModelPair(slot)
-				w.cache.CommitSlot(slot, k, v)
-				w.cCacheFills.Inc()
-			}
-		}
-		w.gHotSlots.Set(int64(w.cache.Len()))
 		w.commitCh <- eb
 	}
 }

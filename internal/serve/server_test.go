@@ -51,6 +51,16 @@ func roundTrip(t *testing.T, c net.Conn, br *bufio.Reader, req string) string {
 	return strings.TrimSpace(line)
 }
 
+// servedOps is every client op the server's shards answered: ops their
+// epochs applied plus GETs answered from the committed image.
+func servedOps(srv *Server, tel *telemetry.Telemetry) int64 {
+	var n int64
+	for i, sh := range srv.Shards() {
+		n += sh.Ops() + tel.Registry().Counter(fmt.Sprintf("serve.shard%d.cache_hits", i)).Value()
+	}
+	return n
+}
+
 // End-to-end over real TCP: sets, gets, dels, overwrite, durability on the
 // response path, graceful drain, verification.
 func TestServerEndToEnd(t *testing.T) {
@@ -84,14 +94,12 @@ func TestServerEndToEnd(t *testing.T) {
 	c.Close()
 	srv.Shutdown(5 * time.Second)
 
-	var served int64
 	for _, sh := range srv.Shards() {
-		served += sh.Ops()
 		if err := sh.Verify(); err != nil {
 			t.Errorf("shard %d: %v", sh.ID(), err)
 		}
 	}
-	if served != int64(len(cases)-1) { // PING is not a store op
+	if served := servedOps(srv, tel); served != int64(len(cases)-1) { // PING is not a store op
 		t.Errorf("shards served %d ops, want %d", served, len(cases)-1)
 	}
 	reg := tel.Registry()
@@ -285,14 +293,14 @@ func TestServerPipelineOrdering(t *testing.T) {
 	}
 }
 
-// Hot-key cache: repeated GETs of one key are served from the eADR cache
-// (cache_hits > 0) without losing read-your-writes — a SET invalidates
-// the cached slot and later GETs see the new value.
+// Hot-key reads: repeated GETs of one key are answered from the committed
+// image (cache_hits > 0) without losing read-your-writes — a SET makes the
+// slot pending and later GETs see the new value.
 func TestServerHotKeyCache(t *testing.T) {
 	tel := telemetry.New()
 	srv, addr := startServer(t, Config{
 		Mode: workloads.GPM, Shards: 1, Sets: 64, MaxBatch: 16,
-		BatchWait: 200 * time.Microsecond, Workers: 1, HotKeys: 8, Telemetry: tel,
+		BatchWait: 200 * time.Microsecond, Workers: 1, Telemetry: tel,
 	})
 	br, c := dial(t, addr)
 	defer c.Close()
@@ -305,7 +313,7 @@ func TestServerHotKeyCache(t *testing.T) {
 			t.Fatalf("GET %d -> %q, want VALUE 7", i, got)
 		}
 	}
-	// Overwrite, then read again: the cache must not serve the stale 7.
+	// Overwrite, then read again: the image read must not serve the stale 7.
 	if got := roundTrip(t, c, br, "SET 42 8"); got != "OK" {
 		t.Fatalf("overwrite -> %q", got)
 	}
@@ -314,7 +322,7 @@ func TestServerHotKeyCache(t *testing.T) {
 			t.Fatalf("GET after overwrite -> %q, want VALUE 8", got)
 		}
 	}
-	// A hot key that was never set: cached absence still answers NOTFOUND.
+	// A key that was never set answers NOTFOUND however often it is read.
 	for i := 0; i < 5; i++ {
 		if got := roundTrip(t, c, br, "GET 43"); got != "NOTFOUND" {
 			t.Fatalf("GET absent -> %q, want NOTFOUND", got)
@@ -330,6 +338,57 @@ func TestServerHotKeyCache(t *testing.T) {
 		if err := sh.Verify(); err != nil {
 			t.Error(err)
 		}
+	}
+}
+
+// Hot GETs are answered from the shard's one committed image: the GET that
+// makes a key hot takes no epoch, an absent key colliding with the hot
+// occupant reads NOTFOUND from the image, and after a CrashBeforeReply
+// crash of an epoch that SETs the hot key the read path starts cold, so
+// the next GET goes to the kernel and returns the new, durable value.
+func TestServerHotReadsFromImage(t *testing.T) {
+	tel := telemetry.New()
+	srv, addr := startServer(t, Config{
+		Mode: workloads.GPM, Shards: 1, Sets: 64, MaxBatch: 16,
+		BatchWait: 200 * time.Microsecond, Workers: 1, Telemetry: tel,
+	})
+	br, c := dial(t, addr)
+	defer c.Close()
+	sh := srv.Shards()[0]
+	absent := uint64(43)
+	for sh.SlotOf(absent) != sh.SlotOf(42) {
+		absent++
+	}
+
+	for _, tc := range []struct{ req, want string }{
+		{"SET 42 7", "OK"},                          // epoch 1
+		{"GET 42", "VALUE 7"},                       // epoch 2: the first access is not hot yet
+		{"GET 42", "VALUE 7"},                       // now hot: answered from the image
+		{fmt.Sprintf("GET %d", absent), "NOTFOUND"}, // the hot occupant answers
+	} {
+		if got := roundTrip(t, c, br, tc.req); got != tc.want {
+			t.Fatalf("%q -> %q, want %q", tc.req, got, tc.want)
+		}
+	}
+	sh.SetCrashPlan(&ShardCrashPlan{ApplyIndex: 1, Point: CrashBeforeReply})
+	if got := roundTrip(t, c, br, "@1.1 SET 42 8"); got != "@1.1 RETRY" {
+		t.Fatalf("crashed SET -> %q, want @1.1 RETRY", got)
+	}
+	if got := roundTrip(t, c, br, "GET 42"); got != "VALUE 8" { // epoch 3
+		t.Fatalf("GET after the crash -> %q, want the durable VALUE 8", got)
+	}
+	c.Close()
+	srv.Shutdown(5 * time.Second)
+
+	reg := tel.Registry()
+	if b := reg.Counter("serve.shard0.batches").Value(); b != 3 {
+		t.Errorf("batches = %d, want 3 (SET, first GET, post-crash GET)", b)
+	}
+	if hits := reg.Counter("serve.shard0.cache_hits").Value(); hits != 2 {
+		t.Errorf("cache_hits = %d, want 2 (the GET that made 42 hot, the colliding GET)", hits)
+	}
+	if err := sh.Verify(); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -401,9 +460,7 @@ func TestServerUnderLoad(t *testing.T) {
 			if res.Throughput <= 0 || res.P50 <= 0 || res.P99 < res.P50 {
 				t.Errorf("implausible latency stats: tput=%g p50=%v p99=%v", res.Throughput, res.P50, res.P99)
 			}
-			var served int64
 			for _, sh := range srv.Shards() {
-				served += sh.Ops()
 				if sh.Ops() == 0 {
 					t.Errorf("shard %d idle — keyspace not spanning shards", sh.ID())
 				}
@@ -411,15 +468,10 @@ func TestServerUnderLoad(t *testing.T) {
 					t.Error(err)
 				}
 			}
-			reg := tel.Registry()
-			var cacheHits int64
-			for i := range srv.Shards() {
-				cacheHits += reg.Counter(fmt.Sprintf("serve.shard%d.cache_hits", i)).Value()
+			if served := servedOps(srv, tel); served != res.Ops {
+				t.Errorf("shards and image hits served %d ops, clients saw %d", served, res.Ops)
 			}
-			if served+cacheHits != res.Ops {
-				t.Errorf("shards served %d + %d cache hits, clients saw %d", served, cacheHits, res.Ops)
-			}
-			if b := reg.Counter("serve.shard0.batches").Value(); b < 1 {
+			if b := tel.Registry().Counter("serve.shard0.batches").Value(); b < 1 {
 				t.Error("no batches recorded on shard 0")
 			}
 		})

@@ -120,24 +120,20 @@ type Shard struct {
 	// replays every log (empty partitions cost nothing).
 	geoms []kvstore.TxLog
 
-	// model is the committed-state oracle: it reflects exactly the batches
-	// that were acknowledged, survives a simulated crash (it models what
-	// clients were promised), and is what Verify compares the durable store
-	// against after recovery.
-	model []uint64 // slot -> key, value (2 u64 per slot)
-
 	// dedupShadow is the host-side mirror of the PM dedup table (2 u64 per
 	// table slot: cid, seq); authoritative between crashes, reloaded from PM
-	// durable state on Restart. tally counts model applications per request
-	// ID — the duplicate-apply detector chaos campaigns assert on.
+	// durable state on Restart. tally counts commits per request ID — the
+	// duplicate-apply detector chaos campaigns assert on.
 	dedupShadow    []uint64
 	tally          map[ReqID]int
 	noDedupPersist bool // negative control: dedup state never reaches PM
 	jnlDirty       bool // durable dedup-journal count may be nonzero
 
 	// oraShadow mirrors the durable oracle reservation; mvcc is the
-	// committed multi-version view the snapshot-read and conflict-check
-	// surfaces run against (its own lock — see mvccState).
+	// committed image: it reflects exactly the batches that were
+	// acknowledged, survives a simulated crash (it models what clients were
+	// promised), and is what Verify compares the durable store against
+	// after recovery (its own lock — see mvccState).
 	oraShadow uint64
 	mvcc      *mvccState
 
@@ -249,10 +245,9 @@ func NewShard(id int, cfg ShardConfig) (*Shard, error) {
 	if s.oraFile, err = s.env.Ctx.FS.Create("/pm/kvs.oracle", 64, 0); err != nil {
 		return nil, err
 	}
-	s.model = make([]uint64, 2*s.store.Slots())
 	s.dedupShadow = make([]uint64, dedupSlots*2)
 	s.tally = make(map[ReqID]int)
-	s.mvcc = newMVCC()
+	s.mvcc = newMVCC(s.store.Slots())
 
 	// The empty dedup state is durable from the start, like the store.
 	sp := s.env.Ctx.Space
@@ -316,15 +311,8 @@ func (s *Shard) Ops() int64 { return s.ops }
 func (s *Shard) Env() *workloads.Env { return s.env }
 
 // SlotOf returns the store slot index a key maps to; the batcher uses it
-// for per-epoch conflict tracking and the hot-key cache.
+// for per-epoch conflict tracking and hot reads from the committed image.
 func (s *Shard) SlotOf(key uint64) int { return s.store.SlotOf(key) }
-
-// ModelPair returns the committed (key, value) pair of a slot — the state
-// acknowledged clients were promised, which the hot-key cache mirrors.
-// Only safe from the goroutine driving Apply.
-func (s *Shard) ModelPair(slot int) (key, val uint64) {
-	return s.model[slot*2], s.model[slot*2+1]
-}
 
 // checkBatch rejects batches that violate the kernel preconditions: size
 // limits and the one-mutation-per-slot rule. Violations indicate a batcher
@@ -361,33 +349,27 @@ func (s *Shard) checkBatch(b *Batch) error {
 	return nil
 }
 
-// commitModel applies an acknowledged batch to the committed-state oracle
-// and tallies each identified mutation in VerIDs — the full squashed
-// logical history, where the kernel arrays only carry per-slot winners. A
-// correctly deduplicating server never lets any request ID's tally pass 1.
-// Versioned batches (VerKeys set) also feed the MVCC chains.
-func (s *Shard) commitModel(b *Batch) {
-	s.store.ApplyModel(s.model, b.SetKeys, b.SetVals, b.DelKeys)
+// commitImage folds an acknowledged batch into the committed image and
+// tallies each identified mutation in VerIDs — the full squashed logical
+// history, where the kernel arrays only carry per-slot winners. A correctly
+// deduplicating server never lets any request ID's tally pass 1.
+func (s *Shard) commitImage(b *Batch) {
 	for _, id := range b.VerIDs {
 		if !id.Zero() {
 			s.tally[id]++
 		}
 	}
-	if len(b.VerKeys) > 0 {
-		s.mvccCommit(b)
-	} else if b.Mutations() > 0 {
-		s.mvccLegacyCommit(b)
-	}
+	s.mvccCommit(b)
 }
 
 // slotWrites counts the store slots b's mutate kernels write — every SET,
 // and every DEL whose key is present — which is the number of undo entries
 // a fully logged b leaves behind. Valid only before b commits: it reads the
-// committed oracle, which matches the mirror the kernels probe.
+// committed image, which matches the mirror the kernels probe.
 func (s *Shard) slotWrites(b *Batch) int {
 	n := len(b.SetKeys)
 	for _, key := range b.DelKeys {
-		if s.model[s.SlotOf(key)*2] == key {
+		if k, _ := s.mvcc.slotImage(s.SlotOf(key)); k == key {
 			n++
 		}
 	}
@@ -506,7 +488,7 @@ func (s *Shard) apply(b *Batch, cp *ShardCrashPlan) (*BatchResult, error) {
 	wall3 := time.Now()
 
 	out := s.store.GetResults(len(b.GetKeys))
-	s.commitModel(b)
+	s.commitImage(b)
 	s.dedupShadowAdvance(b)
 	if b.LogicalOps > 0 {
 		s.ops += int64(b.LogicalOps)
@@ -575,7 +557,7 @@ const RecoveryCrashPoint = "mid-recovery"
 
 // CrashAt power-fails the shard at the given pipeline point while applying
 // b. For every point except CrashBeforeReply the batch is NOT acknowledged
-// (the oracle ignores it) and Restart must erase its effects; at
+// (the committed image ignores it) and Restart must erase its effects; at
 // CrashBeforeReply the batch is durable and counts as committed. Only
 // GPM-class logging modes support crash injection (abortAfterOps bounds
 // the device ops of a mid-kernel crash). The crash runs through apply with
@@ -705,10 +687,15 @@ func (s *Shard) recoverLogs() ([]int, int64, error) {
 	return replayed, undone, nil
 }
 
-// Verify checks that the DURABLE store matches the committed-state oracle
-// slot by slot — acknowledged mutations present, unacknowledged ones absent.
+// Verify checks that the DURABLE store matches the committed image slot by
+// slot — acknowledged mutations present, unacknowledged ones absent. The
+// image folds the logical mutations, not the kernel ops the seal derived
+// from them, so Verify also checks the seal.
 func (s *Shard) Verify() error {
-	if err := s.store.CheckDurable(s.model); err != nil {
+	s.mvcc.mu.Lock()
+	err := s.store.CheckDurable(s.mvcc.slots)
+	s.mvcc.mu.Unlock()
+	if err != nil {
 		err = fmt.Errorf("serve: shard %d %w", s.id, err)
 		s.audit.Record(obs.AuditEvent{
 			Type: obs.AuditVerify, Shard: s.id, Mode: s.mode.String(),

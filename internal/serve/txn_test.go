@@ -453,9 +453,14 @@ func TestTxnGCWatermarkSafety(t *testing.T) {
 // steps, that pass would trim to the new floor and the transaction's first
 // snapshot read would answer "snapshot too old".
 func TestBeginSnapshotSurvivesGCBeforePin(t *testing.T) {
-	o, sr, m := newOracle(0), newSnapRegistry(), newMVCC()
+	o, sr, m := newOracle(0), newSnapRegistry(), newMVCC(1)
+	commit := func(val, ts uint64) {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		m.commitVer(9, val, false, ts, 0)
+	}
 	ts1 := o.alloc()
-	m.commitVer(9, 1, false, ts1, 0)
+	commit(1, ts1)
 	o.release(ts1)
 	ts2 := o.alloc() // an epoch still in flight: the floor stays at ts1
 
@@ -470,7 +475,7 @@ func TestBeginSnapshotSurvivesGCBeforePin(t *testing.T) {
 	go func() {
 		// The applier folds ts2's version in, the batcher retires the epoch
 		// and runs a GC pass (onCommit).
-		m.commitVer(9, 2, false, ts2, 0)
+		commit(2, ts2)
 		o.release(ts2)
 		m.gc(sr.watermark(o))
 		close(gcDone)
