@@ -77,11 +77,14 @@ txn-smoke:
 obs-smoke:
 	$(GO) run ./cmd/obssmoke
 
-# The engine's bit-identity contract: 1 worker vs 8 workers must produce
-# identical simulated durations, metrics TSV, trace bytes, and campaign
-# verdicts — under the race detector, at 1 and 4 host CPUs.
+# The engine's bit-identity contract: a spawn window of 1 block vs 8 must
+# produce identical simulated durations, metrics TSV, trace bytes, and
+# campaign verdicts, and the engine's window tests (waves wider than the
+# window, every block parking on atomics) must hold — under the race
+# detector, at 1 and 4 host CPUs. The default window is GOMAXPROCS, so -cpu
+# is what varies it for every kernel that does not set it.
 determinism:
-	$(GO) test -race -timeout 25m -cpu=1,4 -run 'TestDeterminism' ./internal/experiments/
+	$(GO) test -race -timeout 25m -cpu=1,4 -run 'TestDeterminism|TestWindow|TestMixedKernelDeterminism' ./internal/experiments/ ./internal/gpu/
 
 # The repository's one benchmark (BENCHMARK.json, bench/README.md): five
 # workloads, both clocks, per-layer attribution; the last stdout line is the

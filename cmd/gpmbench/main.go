@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
 	"time"
@@ -55,15 +54,9 @@ func experimentRunners(cfg workloads.Config) map[string]func() (*experiments.Tab
 }
 
 // validateFlags rejects flag values that previously fell back to defaults
-// silently (or crashed deep inside a run). experiment must name a known
-// experiment or "all"; workers must be positive (1 = serial reference).
-func validateFlags(experiment string, workers int, known []string) error {
-	if workers < 1 {
-		return fmt.Errorf("-workers must be >= 1, got %d (1 = serial reference; default = GOMAXPROCS)", workers)
-	}
-	if workers > workloads.MaxWorkers {
-		return fmt.Errorf("-workers must be <= %d, got %d (results are identical for every value; more workers than blocks buys nothing)", workloads.MaxWorkers, workers)
-	}
+// silently (or crashed deep inside a run): experiment must name a known
+// experiment or "all".
+func validateFlags(experiment string, known []string) error {
 	if experiment == "all" {
 		return nil
 	}
@@ -86,7 +79,6 @@ func main() {
 		traceOut  = flag.String("trace", "", "write a Chrome trace-event JSON of all runs to this file")
 		metricsTo = flag.String("metrics", "", "write the telemetry metrics registry as TSV to this file")
 		brkTo     = flag.String("timebreakdown", "", "write the per-run span time breakdown as TSV to this file")
-		workers   = flag.Int("workers", runtime.GOMAXPROCS(0), "GPU block goroutines per kernel (1 = serial reference; reports are bit-identical for every value)")
 	)
 	flag.Parse()
 
@@ -95,7 +87,6 @@ func main() {
 		cfg = workloads.QuickConfig()
 	}
 	cfg.Seed = *seed
-	cfg.Workers = *workers
 
 	var tel *telemetry.Telemetry
 	if *traceOut != "" || *metricsTo != "" || *brkTo != "" {
@@ -108,7 +99,7 @@ func main() {
 	for n := range runners {
 		known = append(known, n)
 	}
-	if err := validateFlags(*name, *workers, known); err != nil {
+	if err := validateFlags(*name, known); err != nil {
 		usage(err)
 	}
 

@@ -8,7 +8,7 @@ import (
 )
 
 // Flag validation must reject values that previously fell through to
-// defaults silently: non-positive -workers and unknown -experiment names.
+// defaults silently: unknown -experiment names.
 func TestValidateFlags(t *testing.T) {
 	known := make([]string, 0, 16)
 	for n := range experimentRunners(workloads.QuickConfig()) {
@@ -17,29 +17,26 @@ func TestValidateFlags(t *testing.T) {
 	cases := []struct {
 		name       string
 		experiment string
-		workers    int
 		wantErr    string // "" = valid
 	}{
-		{"all experiments", "all", 1, ""},
-		{"known experiment", "figure9", 4, ""},
-		{"another known experiment", "table5", 2, ""},
-		{"workers zero", "all", 0, "-workers"},
-		{"workers negative", "figure9", -3, "-workers"},
-		{"unknown experiment", "figure99", 1, "unknown experiment"},
-		{"empty experiment", "", 1, "unknown experiment"},
-		{"case sensitive", "Figure9", 1, "unknown experiment"},
+		{"all experiments", "all", ""},
+		{"known experiment", "figure9", ""},
+		{"another known experiment", "table5", ""},
+		{"unknown experiment", "figure99", "unknown experiment"},
+		{"empty experiment", "", "unknown experiment"},
+		{"case sensitive", "Figure9", "unknown experiment"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			err := validateFlags(c.experiment, c.workers, known)
+			err := validateFlags(c.experiment, known)
 			if c.wantErr == "" {
 				if err != nil {
-					t.Fatalf("validateFlags(%q, %d) = %v, want nil", c.experiment, c.workers, err)
+					t.Fatalf("validateFlags(%q) = %v, want nil", c.experiment, err)
 				}
 				return
 			}
 			if err == nil {
-				t.Fatalf("validateFlags(%q, %d) = nil, want error containing %q", c.experiment, c.workers, c.wantErr)
+				t.Fatalf("validateFlags(%q) = nil, want error containing %q", c.experiment, c.wantErr)
 			}
 			if !strings.Contains(err.Error(), c.wantErr) {
 				t.Errorf("error %q does not mention %q", err, c.wantErr)
@@ -51,7 +48,7 @@ func TestValidateFlags(t *testing.T) {
 // The unknown-experiment message must list the valid names so the usage is
 // actionable.
 func TestValidateFlagsListsExperiments(t *testing.T) {
-	err := validateFlags("bogus", 1, []string{"figure9", "table5"})
+	err := validateFlags("bogus", []string{"figure9", "table5"})
 	if err == nil {
 		t.Fatal("want error")
 	}

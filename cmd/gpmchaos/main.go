@@ -67,8 +67,8 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if *workers < 1 || *workers > workloads.MaxWorkers {
-		fmt.Fprintf(os.Stderr, "gpmchaos: -workers must be in [1, %d], got %d (1 = serial reference; default = GOMAXPROCS)\n", workloads.MaxWorkers, *workers)
+	if *workers < 1 || *workers > crash.MaxWorkers {
+		fmt.Fprintf(os.Stderr, "gpmchaos: -workers must be in [1, %d], got %d (1 = serial reference; default = GOMAXPROCS)\n", crash.MaxWorkers, *workers)
 		flag.Usage()
 		os.Exit(2)
 	}

@@ -10,7 +10,7 @@
 //	gpmrecover -workload gpKVS              # one workload
 //	gpmrecover -recrash-depth 2             # also re-crash during recovery
 //	gpmrecover -json                        # machine-readable records
-//	gpmrecover -workers 8                   # parallel sweep (same verdicts)
+//	gpmrecover -workers 8                   # 8 concurrent runs (same verdicts)
 //	gpmrecover -workload gpKVS -mode GPM -faultmodel torn-lines \
 //	    -crashat 1234 -faultseed 99         # replay one shrunk failure
 package main
@@ -46,8 +46,8 @@ func validateCLI(o cliOptions) error {
 	if o.workers < 1 {
 		return fmt.Errorf("-workers must be >= 1, got %d (1 = serial reference; default = GOMAXPROCS)", o.workers)
 	}
-	if o.workers > workloads.MaxWorkers {
-		return fmt.Errorf("-workers must be <= %d, got %d (results are identical for every value; more workers than runs buys nothing)", workloads.MaxWorkers, o.workers)
+	if o.workers > crash.MaxWorkers {
+		return fmt.Errorf("-workers must be <= %d, got %d (results are identical for every value; more workers than runs buys nothing)", crash.MaxWorkers, o.workers)
 	}
 	if o.points < 1 {
 		return fmt.Errorf("-maxpoints must be >= 1, got %d", o.points)
@@ -72,7 +72,7 @@ func validateCLI(o cliOptions) error {
 		if !replaying {
 			return fmt.Errorf("-mode only applies to -crashat replay")
 		}
-		if _, err := crash.ModeByName(o.mode); err != nil {
+		if _, err := workloads.ModeByName(o.mode); err != nil {
 			return err
 		}
 	}
@@ -104,7 +104,7 @@ func main() {
 		shrink    = flag.Bool("shrink", false, "shrink the first failure per workload to a minimal replayable triple")
 		asJSON    = flag.Bool("json", false, "emit campaign results as JSON")
 		metricsTo = flag.String("metrics", "", "write the telemetry metrics registry (crash/fault counters included) as TSV to this file")
-		workers   = flag.Int("workers", runtime.GOMAXPROCS(0), "concurrent campaign runs and GPU block goroutines (1 = serial reference; results are identical for every value)")
+		workers   = flag.Int("workers", runtime.GOMAXPROCS(0), "concurrent campaign runs; each run's kernels still use up to GOMAXPROCS cores (1 = serial reference; results are identical for every value)")
 
 		// Replay flags (the shrinker's Replay string uses these).
 		modeName  = flag.String("mode", "", "persistence mode for -crashat replay (e.g. GPM)")
@@ -128,7 +128,6 @@ func main() {
 	if *quick {
 		cfg = workloads.QuickConfig()
 	}
-	cfg.Workers = *workers
 	var tel *telemetry.Telemetry
 	if *metricsTo != "" {
 		tel = telemetry.New()
@@ -257,7 +256,7 @@ func replay(mks []func() workloads.Crasher, cfg workloads.Config, modeName, mode
 	}
 	mode := workloads.GPM
 	if modeName != "" {
-		m, err := crash.ModeByName(modeName)
+		m, err := workloads.ModeByName(modeName)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "gpmrecover: %v\n", err)
 			return 2

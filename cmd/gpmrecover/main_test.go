@@ -4,7 +4,7 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/gpm-sim/gpm/internal/workloads"
+	"github.com/gpm-sim/gpm/internal/crash"
 )
 
 // base returns a valid option set; cases mutate one field at a time.
@@ -26,7 +26,7 @@ func TestValidateCLI(t *testing.T) {
 		{"workers zero", func(o *cliOptions) { o.workers = 0 }, "-workers"},
 		{"workers negative", func(o *cliOptions) { o.workers = -1 }, "-workers"},
 		{"workers absurd", func(o *cliOptions) { o.workers = 1 << 20 }, "-workers"},
-		{"workers at cap", func(o *cliOptions) { o.workers = workloads.MaxWorkers }, ""},
+		{"workers at cap", func(o *cliOptions) { o.workers = crash.MaxWorkers }, ""},
 		{"maxpoints zero", func(o *cliOptions) { o.points = 0 }, "-maxpoints"},
 		{"negative stride", func(o *cliOptions) { o.stride = -5 }, "-stride"},
 		{"negative depth", func(o *cliOptions) { o.depth = -1 }, "-recrash-depth"},

@@ -29,7 +29,7 @@ import (
 // happens before a listener or shard exists, with exit 2 + usage.
 type cliOptions struct {
 	addr, mode, adminAddr, audit string
-	shards, sets, batch, workers int
+	shards, sets, batch          int
 	batchWait, drain             time.Duration
 }
 
@@ -55,9 +55,6 @@ func validateCLI(o cliOptions) error {
 	if o.batchWait < 0 {
 		return fmt.Errorf("-batch-wait must be >= 0, got %s", o.batchWait)
 	}
-	if err := workloads.ValidateWorkers(o.workers); err != nil {
-		return fmt.Errorf("-workers: %w", err)
-	}
 	if o.drain <= 0 {
 		return fmt.Errorf("-drain-timeout must be > 0, got %s", o.drain)
 	}
@@ -72,7 +69,6 @@ func main() {
 		sets      = flag.Int("sets", 1<<10, "hash sets per shard (8 ways each)")
 		batch     = flag.Int("batch", 256, "max client ops per kernel batch")
 		batchWait = flag.Duration("batch-wait", 500*time.Microsecond, "upper bound on how long a starved pipeline holds a partial batch open")
-		workers   = flag.Int("workers", 0, "GPU block goroutines per shard (0 = GOMAXPROCS; simulated results are identical for every value)")
 		seed      = flag.Uint64("seed", 1, "shard RNG seed base")
 		drain     = flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown budget: pending batches flush, then stragglers are cut")
 		metricsTo = flag.String("metrics", "", "write the telemetry metrics registry as TSV to this file on shutdown (flushed once when SIGTERM lands and again with final counts at exit)")
@@ -83,7 +79,7 @@ func main() {
 
 	o := cliOptions{
 		addr: *addr, mode: *modeName, adminAddr: *adminAddr, audit: *auditPath,
-		shards: *shards, sets: *sets, batch: *batch, workers: *workers,
+		shards: *shards, sets: *sets, batch: *batch,
 		batchWait: *batchWait, drain: *drain,
 	}
 	if err := validateCLI(o); err != nil {
@@ -115,7 +111,6 @@ func runServer(o cliOptions, mode workloads.Mode, seed uint64, metricsTo string)
 		Sets:      o.sets,
 		MaxBatch:  o.batch,
 		BatchWait: o.batchWait,
-		Workers:   o.workers,
 		Seed:      seed,
 		Telemetry: tel,
 	}

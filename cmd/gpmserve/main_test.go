@@ -10,7 +10,7 @@ import (
 func okOptions() cliOptions {
 	return cliOptions{
 		addr: "127.0.0.1:7070", mode: "GPM",
-		shards: 2, sets: 64, batch: 16, workers: 0,
+		shards: 2, sets: 64, batch: 16,
 		batchWait: time.Millisecond, drain: time.Second,
 	}
 }
@@ -29,7 +29,6 @@ func TestValidateCLI(t *testing.T) {
 		{"zero sets", func(o *cliOptions) { o.sets = 0 }, "-sets"},
 		{"zero batch", func(o *cliOptions) { o.batch = 0 }, "-batch"},
 		{"negative wait", func(o *cliOptions) { o.batchWait = -time.Second }, "-batch-wait"},
-		{"negative workers", func(o *cliOptions) { o.workers = -1 }, "-workers"},
 		{"zero drain", func(o *cliOptions) { o.drain = 0 }, "-drain-timeout"},
 	}
 	for _, tc := range cases {

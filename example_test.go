@@ -8,8 +8,8 @@ import (
 
 // Example reproduces the README quickstart: map a PM file, persist from a
 // kernel, and survive a power failure. NewContext with no options is the
-// calibrated default node; see WithParams/WithMemConfig/WithTelemetry/
-// WithWorkers for the configurable form.
+// calibrated default node; see WithParams/WithMemConfig/WithTelemetry for
+// the configurable form.
 func Example() {
 	ctx := gpm.NewContext()
 	m, err := ctx.Map("/pm/data", 4096, true)

@@ -13,9 +13,8 @@ import (
 
 func main() {
 	// The root facade assembles a node from functional options; with none it
-	// is the calibrated default. WithWorkers only bounds host goroutines —
-	// simulated results are bit-identical for every value.
-	ctx := gpm.NewContext(gpm.WithWorkers(4))
+	// is the calibrated default.
+	ctx := gpm.NewContext()
 
 	// gpm_map: a PM-resident file, visible to GPU kernels through UVA.
 	m, err := ctx.Map("/pm/quickstart", 64*64, true)

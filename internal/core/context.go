@@ -106,11 +106,6 @@ func NewDefaultContext() *Context {
 	return NewContext(sim.Default(), memsys.DefaultConfig())
 }
 
-// SetWorkers bounds how many threadblocks execute on real goroutines at
-// once (0 = GOMAXPROCS). Simulated results are identical for every value —
-// the worker count trades wall-clock time only.
-func (c *Context) SetWorkers(n int) { c.Dev.SetWorkers(n) }
-
 // Launch runs a kernel and accounts its duration under the given timeline
 // segment. It returns the kernel result.
 func (c *Context) Launch(segment string, blocks, tpb int, kern func(*gpu.Thread)) gpu.Result {

@@ -243,6 +243,13 @@ func (c *Campaign) Run(mk func() workloads.Crasher, cfg workloads.Config) (*Work
 	return wc, nil
 }
 
+// MaxWorkers is the largest campaign run pool (Campaign.Workers,
+// ServeCampaign.Workers and the CLIs' -workers flags). Anything past a few
+// thousand concurrent runs is certainly a typo'd or miscomputed value (e.g.
+// a byte size landing in a worker flag), and accepting it would burn memory
+// on goroutine stacks without changing any result.
+const MaxWorkers = 4096
+
 // fanOut runs job(i) for every i in [0, n) on a pool of at most workers
 // goroutines (<= 0 = GOMAXPROCS). The CLIs validate their -workers flags
 // upfront; library callers setting a campaign's Workers directly get the
@@ -253,7 +260,7 @@ func fanOut(workers, n int, job func(i int)) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	workers = min(workers, workloads.MaxWorkers, n)
+	workers = min(workers, MaxWorkers, n)
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for wk := 0; wk < workers; wk++ {
@@ -335,14 +342,4 @@ func (c *Campaign) RunAll(mks []func() workloads.Crasher, cfg workloads.Config, 
 		out = append(out, wc)
 	}
 	return out, nil
-}
-
-// ModeByName resolves a workloads.Mode from its String form.
-func ModeByName(name string) (workloads.Mode, error) {
-	for m := workloads.GPM; m <= workloads.CPUOnly; m++ {
-		if m.String() == name {
-			return m, nil
-		}
-	}
-	return 0, fmt.Errorf("crash: unknown mode %q", name)
 }

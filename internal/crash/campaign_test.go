@@ -196,7 +196,7 @@ func TestShrinkNegativeControl(t *testing.T) {
 		t.Errorf("malformed shrunk failure: %+v", s)
 	}
 	// The minimized triple must still reproduce the failure.
-	mode, err := ModeByName(s.Mode)
+	mode, err := workloads.ModeByName(s.Mode)
 	if err != nil {
 		t.Fatal(err)
 	}

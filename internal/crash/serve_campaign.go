@@ -71,7 +71,7 @@ type ServeCampaign struct {
 	RecrashDepth int
 
 	// Workers bounds concurrent runs (0 = GOMAXPROCS, 1 = the serial
-	// determinism reference, clamped to workloads.MaxWorkers).
+	// determinism reference, clamped to MaxWorkers).
 	Workers int
 
 	// BreakDedup disables the shard's PM dedup persistence in every run —
@@ -329,7 +329,7 @@ func (c *ServeCampaign) runOne(d serveDesc) ServeRunRecord {
 	}
 	audit := obs.NewAuditLog(0)
 	srv, err := serve.NewServer(serve.Config{
-		Mode: d.mode, Shards: 1, Sets: 64, MaxBatch: 8, Workers: 1,
+		Mode: d.mode, Shards: 1, Sets: 64, MaxBatch: 8,
 		DedupWindow: 64, Seed: rec.FaultSeed, BreakSI: c.BreakSI,
 		Audit: audit,
 	})

@@ -48,7 +48,7 @@ func smallestFailing(lo, hi int64, fails func(int64) bool) int64 {
 // axis, so the result is best-effort minimal: every reported value was
 // re-executed and confirmed failing.
 func (c *Campaign) Shrink(mk func() workloads.Crasher, cfg workloads.Config, rec RunRecord) *ShrunkFailure {
-	mode, err := ModeByName(rec.Mode)
+	mode, err := workloads.ModeByName(rec.Mode)
 	if err != nil {
 		return nil
 	}

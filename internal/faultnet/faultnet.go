@@ -22,6 +22,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"github.com/gpm-sim/gpm/internal/sim"
 )
 
 // ErrInjectedReset is returned from Read/Write on a connection the
@@ -161,35 +163,6 @@ func (s *Stats) Stalls() int64 { return s.stalls.Load() }
 // Latencies returns injected write delays.
 func (s *Stats) Latencies() int64 { return s.latencies.Load() }
 
-// mix64 is the splitmix64 finalizer (the same bijective scramble the load
-// generator uses), deriving independent per-connection seeds.
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
-// rng is a private splitmix64 stream; faultnet cannot share sim.RNG state
-// with anything else, or fault placement would depend on co-tenants.
-type rng struct{ s uint64 }
-
-func (r *rng) next() uint64 {
-	r.s += 0x9e3779b97f4a7c15
-	return mix64(r.s)
-}
-
-func (r *rng) float64() float64 { return float64(r.next()>>11) / (1 << 53) }
-
-func (r *rng) intn(n int64) int64 {
-	if n <= 0 {
-		return 0
-	}
-	return int64(r.next() % uint64(n))
-}
-
 // Conn wraps a net.Conn with schedule-driven faults. The write path and
 // read path each keep their own op counter and may be driven from one
 // goroutine each (the usual reader/writer split); the fault trace is
@@ -203,7 +176,7 @@ type Conn struct {
 	readIdx  atomic.Int64
 	resetAt  int64 // write index the reset fires at; 0 = never
 	rmu      sync.Mutex
-	wrng     rng // write-side draws (split offsets, reset prefix)
+	wrng     *sim.RNG // write-side draws (split offsets, reset prefix); private to the connection
 	lbuf     []byte
 	lineIdx  int64
 	isReset  atomic.Bool
@@ -217,8 +190,8 @@ type Conn struct {
 // placement, independent of timing, GOMAXPROCS, or other connections.
 func Wrap(c net.Conn, sched Schedule, seed, connID uint64, stats *Stats) *Conn {
 	fc := &Conn{Conn: c, sched: sched, stats: stats}
-	fc.wrng = rng{s: mix64(seed ^ mix64(connID+0x6a09e667f3bcc909))}
-	if sched.ResetProb > 0 && fc.wrng.float64() < sched.ResetProb {
+	fc.wrng = sim.NewRNG(sim.Mix64(seed ^ sim.Mix64(connID+0x6a09e667f3bcc909)))
+	if sched.ResetProb > 0 && fc.wrng.Float64() < sched.ResetProb {
 		lo, hi := sched.ResetAfterMin, sched.ResetAfterMax
 		if lo < 1 {
 			lo = 1
@@ -226,7 +199,7 @@ func Wrap(c net.Conn, sched Schedule, seed, connID uint64, stats *Stats) *Conn {
 		if hi < lo {
 			hi = lo
 		}
-		fc.resetAt = lo + fc.wrng.intn(hi-lo+1)
+		fc.resetAt = lo + fc.wrng.Int63n(hi-lo+1)
 	}
 	if stats != nil {
 		stats.conns.Add(1)
@@ -292,7 +265,7 @@ func (c *Conn) Write(p []byte) (int, error) {
 	}
 
 	if c.resetAt != 0 && idx >= c.resetAt {
-		cut := c.wrng.intn(int64(len(emit)) + 1)
+		cut := c.wrng.Int63n(int64(len(emit)) + 1)
 		if cut > 0 {
 			c.Conn.Write(emit[:cut])
 		}
@@ -306,7 +279,7 @@ func (c *Conn) Write(p []byte) (int, error) {
 	}
 
 	if e := c.sched.PartialEvery; e > 0 && idx%e == 0 && len(emit) > 1 {
-		cut := 1 + c.wrng.intn(int64(len(emit)-1))
+		cut := 1 + c.wrng.Int63n(int64(len(emit)-1))
 		c.record(Fault{Op: "write", Index: idx, Kind: "partial", Arg: cut})
 		if c.stats != nil {
 			c.stats.partials.Add(1)

@@ -52,15 +52,15 @@ func settledGoroutines(limit int) int {
 }
 
 // TestRunnersDoNotLeak runs kernels whose parked threads need more runners
-// than the idle pool keeps: a barrier kernel, an all-threads-atomic kernel on
-// the force-spawn path, and an abort that unwinds threads parked at a
-// barrier. After each, the goroutine count must return to its baseline plus
-// at most the pool's bound.
+// than the idle pool keeps: a barrier kernel, an all-threads-atomic kernel
+// under a spawn window narrower than the wave, and an abort that unwinds
+// threads parked at a barrier. After each, the goroutine count must return
+// to its baseline plus at most the pool's bound.
 func TestRunnersDoNotLeak(t *testing.T) {
 	const blocks, tpb = 8, 256 // 8*255 parked runners > maxIdleRunners
 	kernels := []struct {
 		name    string
-		workers int
+		window  int
 		abortAt int64
 		kern    func(th *Thread, addr uint64)
 	}{
@@ -70,7 +70,7 @@ func TestRunnersDoNotLeak(t *testing.T) {
 				th.SyncBlock()
 			}
 		}},
-		{"atomic-forcespawn", 2, 0, func(th *Thread, addr uint64) {
+		{"atomic-narrow-window", 2, 0, func(th *Thread, addr uint64) {
 			th.AtomicAdd32(addr, 1)
 			th.AtomicAdd32(addr, 1)
 		}},
@@ -88,7 +88,7 @@ func TestRunnersDoNotLeak(t *testing.T) {
 	base := goroutineBaseline()
 	for _, k := range kernels {
 		d := newDev(t)
-		d.SetWorkers(k.workers)
+		d.SetWorkers(k.window)
 		addr := d.Space.AllocHBM(4 * blocks * tpb)
 		if k.abortAt != 0 {
 			abortAt := k.abortAt

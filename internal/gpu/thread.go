@@ -90,7 +90,7 @@ func (t *Thread) log(op laneOp) {
 // fault-injection check against it. With the monotone checks the campaign
 // uses (op >= K), every thread executes exactly its operations with index
 // below K and unwinds at its first index at or past K — the same canonical
-// crash instant for every worker count.
+// crash instant for every spawn window.
 func (t *Thread) checkCrash() {
 	eng := t.blk.eng
 	t.opIdx++
@@ -296,7 +296,7 @@ func (t *Thread) HostPersistRange(addr uint64, n int) {
 // atomicApply32 parks the thread at its block. The read-modify-write
 // executes when every runnable thread of the wave has parked or exited, in
 // canonical (block, thread) order — so the value each thread observes is
-// identical for every worker count. The timing model is unchanged: the
+// identical for every spawn window. The timing model is unchanged: the
 // operation is logged and costed at warp replay, exactly as when atomics
 // executed inline.
 func (t *Thread) atomicApply32(addr uint64, f func(uint32) uint32) (old uint32) {

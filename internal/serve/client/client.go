@@ -140,7 +140,7 @@ func Dial(cfg Config) (*Client, error) {
 	c := &Client{
 		cfg: cfg,
 		ver: 1,
-		jit: sim.NewRNG(mix64(cfg.Seed^cfg.CID*0xa24baed4963ee407) | 1),
+		jit: sim.NewRNG(sim.Mix64(cfg.Seed^cfg.CID*0xa24baed4963ee407) | 1),
 	}
 	if cfg.Reliable {
 		c.outstanding = make(map[uint64]*Future)
@@ -509,13 +509,3 @@ func IsValue(body string) (uint64, bool) {
 
 // IsErr reports an "ERR ..." body.
 func IsErr(body string) bool { return strings.HasPrefix(body, "ERR") }
-
-// mix64 is the splitmix64 finalizer (jitter-seed scrambling).
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}

@@ -26,9 +26,6 @@ func startServer(t *testing.T, cfg serve.Config) (*serve.Server, string) {
 	if cfg.MaxBatch == 0 {
 		cfg.MaxBatch = 16
 	}
-	if cfg.Workers == 0 {
-		cfg.Workers = 1
-	}
 	srv, err := serve.NewServer(cfg)
 	if err != nil {
 		t.Fatalf("NewServer: %v", err)
@@ -198,5 +195,33 @@ func TestClientReliableCrashRetry(t *testing.T) {
 	g, _ = cl.Get(3)
 	if body, _ := cl.Wait(g); body != "VALUE 30" {
 		t.Errorf("pre-crash value -> %q", body)
+	}
+}
+
+// A BEGIN issued after a write's acknowledgement must read that write: the
+// oracle's stable floor has to cover every acknowledged commit unit before
+// the reply leaves the server.
+func TestBeginSeesAcknowledgedWrites(t *testing.T) {
+	_, addr := startServer(t, serve.Config{Shards: 1})
+	cl, err := client.Dial(client.Config{Addr: addr, Proto: client.MaxProto})
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer cl.Close()
+	for i := uint64(1); i <= 300; i++ {
+		f, _ := cl.Set(5, i)
+		if body, err := cl.Wait(f); err != nil || body != "OK" {
+			t.Fatalf("SET %d -> (%q, %v)", i, body, err)
+		}
+		txn, err := cl.Begin()
+		if err != nil {
+			t.Fatalf("Begin: %v", err)
+		}
+		if v, found, err := txn.Get(5); err != nil || !found || v != i {
+			t.Fatalf("after acked SET 5=%d, txn.Get -> (%d, %v, %v)", i, v, found, err)
+		}
+		if err := txn.Abort(); err != nil {
+			t.Fatalf("Abort: %v", err)
+		}
 	}
 }

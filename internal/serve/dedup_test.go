@@ -47,7 +47,7 @@ func assertExactlyOnce(t *testing.T, srv *Server) {
 func TestDedupReplayAfterReply(t *testing.T) {
 	tel := telemetry.New()
 	srv, addr := startServer(t, Config{
-		Mode: workloads.GPM, Shards: 1, Sets: 64, MaxBatch: 8, Workers: 1,
+		Mode: workloads.GPM, Shards: 1, Sets: 64, MaxBatch: 8,
 		Telemetry: tel,
 	})
 	br, c := dial(t, addr)
@@ -85,7 +85,7 @@ func TestDedupReplayAfterReply(t *testing.T) {
 // rejected, not silently replayed or reapplied.
 func TestDedupIDReuseRejected(t *testing.T) {
 	srv, addr := startServer(t, Config{
-		Mode: workloads.GPM, Shards: 1, Sets: 64, MaxBatch: 8, Workers: 1,
+		Mode: workloads.GPM, Shards: 1, Sets: 64, MaxBatch: 8,
 	})
 	br, c := dial(t, addr)
 	defer c.Close()
@@ -112,7 +112,7 @@ func TestDedupIDReuseRejected(t *testing.T) {
 func TestDedupWindowEviction(t *testing.T) {
 	tel := telemetry.New()
 	srv, addr := startServer(t, Config{
-		Mode: workloads.GPM, Shards: 1, Sets: 64, MaxBatch: 4, Workers: 1,
+		Mode: workloads.GPM, Shards: 1, Sets: 64, MaxBatch: 4,
 		DedupWindow: 2, Telemetry: tel,
 	})
 	br, c := dial(t, addr)
@@ -161,7 +161,7 @@ func TestDedupSpansRestart(t *testing.T) {
 		t.Run(tc.point.String(), func(t *testing.T) {
 			tel := telemetry.New()
 			srv, addr := startServer(t, Config{
-				Mode: workloads.GPM, Shards: 1, Sets: 64, MaxBatch: 8, Workers: 1,
+				Mode: workloads.GPM, Shards: 1, Sets: 64, MaxBatch: 8,
 				Telemetry: tel,
 			})
 			br, c := dial(t, addr)
@@ -211,7 +211,7 @@ func TestDedupSpansRestart(t *testing.T) {
 // seqs above the hole, so every RETRYed op re-applies exactly once.
 func TestDedupRollbackNoGapOverHole(t *testing.T) {
 	srv, addr := startServer(t, Config{
-		Mode: workloads.GPM, Shards: 1, Sets: 64, MaxBatch: 8, Workers: 1,
+		Mode: workloads.GPM, Shards: 1, Sets: 64, MaxBatch: 8,
 	})
 	br, c := dial(t, addr)
 	defer c.Close()
@@ -269,7 +269,7 @@ func TestDedupRollbackNoGapOverHole(t *testing.T) {
 // duplicate-apply tally catches it. This is the proof the detector detects.
 func TestDedupNegativeControlCaught(t *testing.T) {
 	srv, addr := startServer(t, Config{
-		Mode: workloads.GPM, Shards: 1, Sets: 64, MaxBatch: 8, Workers: 1,
+		Mode: workloads.GPM, Shards: 1, Sets: 64, MaxBatch: 8,
 	})
 	br, c := dial(t, addr)
 	defer c.Close()

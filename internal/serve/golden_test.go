@@ -108,7 +108,7 @@ func (d goldenDigest) restart(t *testing.T, sh *Shard, audit *obs.AuditLog, from
 func TestShardSimClockGolden(t *testing.T) {
 	d := goldenDigest{fnv.New64a()}
 	for _, mode := range SupportedModes() {
-		sh, err := NewShard(0, ShardConfig{Mode: mode, Sets: 64, MaxBatch: 128, Workers: 1, Seed: 7})
+		sh, err := NewShard(0, ShardConfig{Mode: mode, Sets: 64, MaxBatch: 128, Seed: 7})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -752,18 +752,9 @@ func (z *zipfGen) next(rng *sim.RNG) uint64 {
 			rank = z.n - 1
 		}
 	}
-	return 1 + mix64(rank)%z.n
-}
-
-// mix64 is the splitmix64 finalizer: a fixed bijective scramble, so equal
-// ranks always map to the same key (the hot set is stable across draws).
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
+	// A bijective scramble: equal ranks always map to the same key, so the
+	// hot set is stable across draws.
+	return 1 + sim.Mix64(rank)%z.n
 }
 
 // percentile returns the p-th percentile (0..1) of ds, 0 when empty.

@@ -123,7 +123,7 @@ func TestLoadConfigDistValidation(t *testing.T) {
 func TestRunLoadProgress(t *testing.T) {
 	srv, addr := startServer(t, Config{
 		Mode: workloads.GPM, Shards: 2, Sets: 256, MaxBatch: 32,
-		BatchWait: 200 * time.Microsecond, Workers: 1, Telemetry: telemetry.New(),
+		BatchWait: 200 * time.Microsecond, Telemetry: telemetry.New(),
 	})
 	defer srv.Shutdown(5 * time.Second)
 

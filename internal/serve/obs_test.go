@@ -23,7 +23,7 @@ func TestRequestTracesThroughPipeline(t *testing.T) {
 	tel := telemetry.New()
 	srv, addr := startServer(t, Config{
 		Mode: workloads.GPM, Shards: 2, Sets: 64, MaxBatch: 16,
-		BatchWait: 200 * time.Microsecond, Workers: 1, Telemetry: tel,
+		BatchWait: 200 * time.Microsecond, Telemetry: tel,
 		Trace: tracer,
 	})
 	br, c := dial(t, addr)
@@ -74,7 +74,7 @@ func TestRequestTraceCacheHit(t *testing.T) {
 	tracer := obs.NewRequestTracer(1, time.Hour, 64)
 	srv, addr := startServer(t, Config{
 		Mode: workloads.GPM, Shards: 1, Sets: 64, MaxBatch: 8,
-		BatchWait: 100 * time.Microsecond, Workers: 1,
+		BatchWait: 100 * time.Microsecond,
 		Telemetry: telemetry.New(), Trace: tracer,
 	})
 	br, c := dial(t, addr)
@@ -114,7 +114,7 @@ func TestObsPlaneLifecycle(t *testing.T) {
 	}
 	cfg := Config{
 		Mode: workloads.GPM, Shards: 2, Sets: 64, MaxBatch: 8,
-		Workers: 1, Telemetry: telemetry.New(),
+		Telemetry: telemetry.New(),
 	}
 	plane.Apply(&cfg)
 	if cfg.Trace == nil || cfg.Audit == nil {

@@ -49,13 +49,15 @@ func (o *tsOracle) alloc() uint64 {
 	return ts
 }
 
-// release retires ts: its unit is stable (committed or rolled back —
-// either way no snapshot can be torn by it) and the floor may advance
-// past it.
-func (o *tsOracle) release(ts uint64) {
+// release retires every ts in tss: their units are stable (committed or
+// rolled back — either way no snapshot can be torn by them) and the floor
+// may advance past them. Releasing a ts twice is a no-op.
+func (o *tsOracle) release(tss ...uint64) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	delete(o.outstanding, ts)
+	for _, ts := range tss {
+		delete(o.outstanding, ts)
+	}
 }
 
 // snapshot returns the current stable floor: min(outstanding) - 1, or the

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"github.com/gpm-sim/gpm/internal/obs"
+	"github.com/gpm-sim/gpm/internal/sim"
 	"github.com/gpm-sim/gpm/internal/telemetry"
 	"github.com/gpm-sim/gpm/internal/workloads"
 )
@@ -27,7 +28,6 @@ type Config struct {
 	MaxBatch    int           // ops per batch before forced dispatch
 	BatchWait   time.Duration // cap on how long a starved pipeline holds a partial epoch
 	DedupWindow int           // committed request IDs remembered per shard (0 = 4096)
-	Workers     int           // GPU block goroutines per shard (0 = GOMAXPROCS)
 	Seed        uint64
 	Telemetry   *telemetry.Telemetry // optional; nil disables metrics
 
@@ -117,7 +117,7 @@ func valueReply(val uint64, found bool) string {
 // committed ID presented again with a different (op, key, val) is a client
 // bug and is rejected rather than silently replayed.
 func fingerprint(op byte, key, val uint64) uint64 {
-	return mix64(uint64(op)*0x9e3779b97f4a7c15 ^ mix64(key) ^ mix64(val+0xd1b54a32d192ed03))
+	return sim.Mix64(uint64(op)*0x9e3779b97f4a7c15 ^ sim.Mix64(key) ^ sim.Mix64(val+0xd1b54a32d192ed03))
 }
 
 // opName spells a request op byte for traces and logs.
@@ -188,7 +188,6 @@ func NewServer(cfg Config) (*Server, error) {
 			Mode:     cfg.Mode,
 			Sets:     cfg.Sets,
 			MaxBatch: cfg.MaxBatch,
-			Workers:  cfg.Workers,
 			Seed:     cfg.Seed + uint64(i),
 		})
 		if err != nil {
@@ -437,11 +436,13 @@ var fillBuckets = []int64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}
 //
 //	batcher (run): admits requests into a queue of staged epochs — batch
 //	  N+1 forms while batch N is on the device, so admission never blocks
-//	  on kernel or persist time. Slot conflicts chain mutations into
-//	  consecutive epochs via per-epoch conflict maps; an adaptive
-//	  controller decides how long a starved pipeline holds a partial
-//	  epoch. Hot GETs with no pending mutation are answered straight from
-//	  the shard's committed image, no kernel trip.
+//	  on kernel or persist time. Writes to a slot with a staged epoch
+//	  squash into that epoch's slot image, a GET behind a pending write
+//	  reads the staged image, and a write behind a staged kernel read of
+//	  its slot goes to a later epoch (see admit); an adaptive controller
+//	  decides how long a starved pipeline holds a partial epoch. Hot GETs
+//	  with no pending mutation are answered straight from the shard's
+//	  committed image, no kernel trip.
 //	applier (applyLoop): executes one epoch at a time on the shard
 //	  (stage -> kernel -> persist) and group-commits every reply in the
 //	  epoch the moment it is durable.
@@ -1043,13 +1044,11 @@ func (w *shardWorker) onCommit(eb *epochBatch) {
 		// pipeline and let clients resend in seq order behind the holes.
 		w.flushStaged()
 	}
-	// The epoch's commit units are stable (committed or rolled back): the
-	// oracle floor may advance past their timestamps. This runs AFTER the
-	// applier folded the batch into the version chains, so a new snapshot
-	// can never miss a version below its floor. Duplicate rows of one
-	// transaction share a ts; the extra releases are no-ops.
-	for _, ts := range eb.batch.VerTS {
-		w.oracle.release(ts)
+	// An epoch that failed or crashed is stable too (rolled back, or
+	// committed with no reply acknowledged); a successful one released its
+	// timestamps in the applier.
+	if !eb.ok {
+		w.oracle.release(eb.batch.VerTS...)
 	}
 	for slot := range eb.slots {
 		if w.lastMut[slot] == eb.seq {
@@ -1083,9 +1082,7 @@ const mvccGCEvery = 16
 // the epochs just flushed.
 func (w *shardWorker) flushStaged() {
 	for _, eb := range w.staged {
-		for _, ts := range eb.batch.VerTS {
-			w.oracle.release(ts) // flushed units are stable: never applied
-		}
+		w.oracle.release(eb.batch.VerTS...) // flushed units are stable: never applied
 		for _, r := range eb.pending {
 			var line string
 			if r.rid.Zero() {
@@ -1292,6 +1289,11 @@ func (w *shardWorker) applyLoop() {
 			continue
 		}
 		eb.ok = true
+		// Apply folded the epoch into the version chains, so its commit
+		// units are stable: release their timestamps before any reply goes
+		// out, so a BEGIN that follows an acknowledged write reads it (a
+		// new snapshot can never miss a version below its floor).
+		w.oracle.release(eb.batch.VerTS...)
 		now := time.Now()
 		for i, r := range eb.pending {
 			switch {

@@ -67,7 +67,7 @@ func TestServerEndToEnd(t *testing.T) {
 	tel := telemetry.New()
 	srv, addr := startServer(t, Config{
 		Mode: workloads.GPM, Shards: 2, Sets: 64, MaxBatch: 16,
-		BatchWait: 200 * time.Microsecond, Workers: 1, Telemetry: tel,
+		BatchWait: 200 * time.Microsecond, Telemetry: tel,
 	})
 	br, c := dial(t, addr)
 	defer c.Close()
@@ -113,7 +113,7 @@ func TestServerEndToEnd(t *testing.T) {
 // server, and never reach a shard.
 func TestServerProtocolErrors(t *testing.T) {
 	srv, addr := startServer(t, Config{
-		Mode: workloads.GPM, Shards: 1, Sets: 64, MaxBatch: 8, Workers: 1,
+		Mode: workloads.GPM, Shards: 1, Sets: 64, MaxBatch: 8,
 	})
 	defer srv.Shutdown(5 * time.Second)
 	br, c := dial(t, addr)
@@ -143,11 +143,11 @@ func TestServerProtocolErrors(t *testing.T) {
 // and applier are not running, so no dispatch can split the three; the
 // reply order is then checked end to end over TCP.
 func TestServerConflictSquashesIntoEpoch(t *testing.T) {
-	cfg := Config{Mode: workloads.GPM, Shards: 1, Sets: 64, MaxBatch: 64, Workers: 1}
+	cfg := Config{Mode: workloads.GPM, Shards: 1, Sets: 64, MaxBatch: 64}
 	if err := cfg.Normalize(); err != nil {
 		t.Fatal(err)
 	}
-	sh, err := NewShard(0, ShardConfig{Mode: cfg.Mode, Sets: cfg.Sets, MaxBatch: cfg.MaxBatch, Workers: 1})
+	sh, err := NewShard(0, ShardConfig{Mode: cfg.Mode, Sets: cfg.Sets, MaxBatch: cfg.MaxBatch})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestServerConflictSquashesIntoEpoch(t *testing.T) {
 
 	srv, addr := startServer(t, Config{
 		Mode: workloads.GPM, Shards: 1, Sets: 64, MaxBatch: 64,
-		BatchWait: 50 * time.Millisecond, Workers: 1,
+		BatchWait: 50 * time.Millisecond,
 	})
 	br, c := dial(t, addr)
 	defer c.Close()
@@ -215,7 +215,7 @@ func TestServerConflictChainFallback(t *testing.T) {
 	srv, addr := startServer(t, Config{
 		Mode: workloads.GPM, Shards: 1, Sets: 64, MaxBatch: maxBatch,
 		BatchWait: 50 * time.Millisecond,
-		Workers:   1, Telemetry: tel,
+		Telemetry: tel,
 	})
 	br, c := dial(t, addr)
 	defer c.Close()
@@ -260,7 +260,7 @@ func TestServerConflictChainFallback(t *testing.T) {
 func TestServerPipelineOrdering(t *testing.T) {
 	srv, addr := startServer(t, Config{
 		Mode: workloads.GPM, Shards: 1, Sets: 64, MaxBatch: 32,
-		BatchWait: 5 * time.Millisecond, Workers: 1,
+		BatchWait: 5 * time.Millisecond,
 	})
 	br, c := dial(t, addr)
 	defer c.Close()
@@ -300,7 +300,7 @@ func TestServerHotKeyCache(t *testing.T) {
 	tel := telemetry.New()
 	srv, addr := startServer(t, Config{
 		Mode: workloads.GPM, Shards: 1, Sets: 64, MaxBatch: 16,
-		BatchWait: 200 * time.Microsecond, Workers: 1, Telemetry: tel,
+		BatchWait: 200 * time.Microsecond, Telemetry: tel,
 	})
 	br, c := dial(t, addr)
 	defer c.Close()
@@ -350,7 +350,7 @@ func TestServerHotReadsFromImage(t *testing.T) {
 	tel := telemetry.New()
 	srv, addr := startServer(t, Config{
 		Mode: workloads.GPM, Shards: 1, Sets: 64, MaxBatch: 16,
-		BatchWait: 200 * time.Microsecond, Workers: 1, Telemetry: tel,
+		BatchWait: 200 * time.Microsecond, Telemetry: tel,
 	})
 	br, c := dial(t, addr)
 	defer c.Close()
@@ -398,7 +398,6 @@ func TestServerDrainOnShutdown(t *testing.T) {
 	srv, addr := startServer(t, Config{
 		Mode: workloads.GPM, Shards: 2, Sets: 64, MaxBatch: 1024,
 		BatchWait: 10 * time.Second, // never seals on its own
-		Workers:   1,
 	})
 	br, c := dial(t, addr)
 	defer c.Close()
@@ -440,7 +439,7 @@ func TestServerUnderLoad(t *testing.T) {
 			tel := telemetry.New()
 			srv, addr := startServer(t, Config{
 				Mode: mode, Shards: 2, Sets: 256, MaxBatch: 64,
-				BatchWait: 200 * time.Microsecond, Workers: 1, Telemetry: tel,
+				BatchWait: 200 * time.Microsecond, Telemetry: tel,
 			})
 			res, err := RunLoad(LoadConfig{
 				Addr: addr, Conns: 4, Ops: 800, Window: 8,

@@ -30,12 +30,14 @@ import (
 )
 
 // Batch is one admitted transaction of client operations. The batcher
-// guarantees at most one mutation (SET or DEL) per store slot per batch —
-// the same precondition the gpKVS workload generator enforces — so kernel
-// thread scheduling cannot change the result. GETs are serviced from the
-// post-mutation mirror, matching arrival order (a GET admitted after a SET
-// of the same key observes the new value; a mutation arriving after a GET
-// of its slot seals the batch first).
+// guarantees at most one kernel mutation (SET or DEL) per store slot per
+// batch — the same precondition the gpKVS workload generator enforces — so
+// kernel thread scheduling cannot change the result: later writes to a slot
+// squash into its staged image, and every logical mutation keeps its own
+// row in VerKeys. GetKeys are the kernel reads. A GET admitted behind a
+// pending write of its slot never becomes one: it reads the staged image at
+// admission. A write admitted behind a staged kernel read of its slot goes
+// to a later batch, so the read cannot observe it.
 type Batch struct {
 	SetKeys, SetVals []uint64
 	DelKeys          []uint64
@@ -158,7 +160,6 @@ type ShardConfig struct {
 	Mode     workloads.Mode
 	Sets     int // hash sets (store = Sets × 8 ways × 16 B)
 	MaxBatch int // max operations per admitted batch
-	Workers  int // GPU block goroutines (0 = GOMAXPROCS)
 	Seed     uint64
 }
 
@@ -179,11 +180,11 @@ func SupportedModes() []workloads.Mode {
 // ModeByName resolves a servable mode name (e.g. "GPM", "CAP-fs"),
 // rejecting modes the server cannot run.
 func ModeByName(name string) (workloads.Mode, error) {
+	if m, err := workloads.ModeByName(name); err == nil && ModeSupported(m) {
+		return m, nil
+	}
 	var valid []string
 	for _, m := range SupportedModes() {
-		if m.String() == name {
-			return m, nil
-		}
 		valid = append(valid, m.String())
 	}
 	return 0, fmt.Errorf("serve: unsupported mode %q (valid: %s)", name, strings.Join(valid, ", "))
@@ -225,7 +226,6 @@ func NewShard(id int, cfg ShardConfig) (*Shard, error) {
 	wcfg := workloads.Config{
 		Seed:       cfg.Seed,
 		CAPThreads: capThreads,
-		Workers:    cfg.Workers,
 		HBMSize:    store + staging + 1<<20,
 		DRAMSize:   store + 1<<20, // CAP bounce buffers
 		PMSize:     store + logSize + dedupTableBytes + dedupJnlBytes(cfg.MaxBatch) + 64 + 1<<20,

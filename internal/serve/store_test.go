@@ -10,7 +10,7 @@ import (
 
 func quickShard(t *testing.T, mode workloads.Mode) *Shard {
 	t.Helper()
-	sh, err := NewShard(0, ShardConfig{Mode: mode, Sets: 64, MaxBatch: 64, Workers: 1, Seed: 7})
+	sh, err := NewShard(0, ShardConfig{Mode: mode, Sets: 64, MaxBatch: 64, Seed: 7})
 	if err != nil {
 		t.Fatalf("NewShard(%s): %v", mode, err)
 	}

@@ -1,5 +1,7 @@
 package serve
 
+import "github.com/gpm-sim/gpm/internal/sim"
+
 // txnOp is a transaction COMMIT's write set riding a request (op 'C').
 type txnOp struct {
 	keys []uint64
@@ -11,13 +13,13 @@ type txnOp struct {
 // txnFingerprint condenses a COMMIT payload (snapshot + ordered write set)
 // for ID-reuse detection, the transaction analogue of fingerprint().
 func txnFingerprint(snap uint64, keys, vals []uint64, dels []bool) uint64 {
-	h := mix64(snap + 0x9e3779b97f4a7c15)
+	h := sim.Mix64(snap + 0x9e3779b97f4a7c15)
 	for i := range keys {
 		d := uint64(0)
 		if dels[i] {
 			d = 1
 		}
-		h = mix64(h ^ mix64(keys[i]) ^ mix64(vals[i]+0xd1b54a32d192ed03) ^ d)
+		h = sim.Mix64(h ^ sim.Mix64(keys[i]) ^ sim.Mix64(vals[i]+0xd1b54a32d192ed03) ^ d)
 	}
 	return h
 }

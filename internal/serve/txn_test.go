@@ -16,7 +16,7 @@ import (
 // 1, and a connection that never sends it stays v1 (txn verbs unknown).
 func TestHelloNegotiation(t *testing.T) {
 	srv, addr := startServer(t, Config{
-		Mode: workloads.GPM, Shards: 2, Sets: 64, MaxBatch: 8, Workers: 1,
+		Mode: workloads.GPM, Shards: 2, Sets: 64, MaxBatch: 8,
 	})
 	defer srv.Shutdown(5 * time.Second)
 	br, c := dial(t, addr)
@@ -72,7 +72,7 @@ func beginTxn(t *testing.T, rt func(string) string) uint64 {
 // invisible until COMMIT, and the committed write set is atomic.
 func TestTxnSnapshotIsolation(t *testing.T) {
 	srv, addr := startServer(t, Config{
-		Mode: workloads.GPM, Shards: 2, Sets: 64, MaxBatch: 8, Workers: 1,
+		Mode: workloads.GPM, Shards: 2, Sets: 64, MaxBatch: 8,
 	})
 	defer srv.Shutdown(5 * time.Second)
 	br, c := dial(t, addr)
@@ -136,7 +136,7 @@ func TestTxnSameEpochConflicts(t *testing.T) {
 	tel := telemetry.New()
 	srv, addr := startServer(t, Config{
 		Mode: workloads.GPM, Shards: 1, Sets: 64, MaxBatch: 16,
-		BatchWait: 50 * time.Millisecond, Workers: 1, Telemetry: tel,
+		BatchWait: 50 * time.Millisecond, Telemetry: tel,
 	})
 	defer srv.Shutdown(5 * time.Second)
 	br, c := dial(t, addr)
@@ -202,7 +202,7 @@ func TestTxnSameEpochConflicts(t *testing.T) {
 // timestamp, or the same ABORT — without touching the store again.
 func TestTxnRetryReplaysVerdict(t *testing.T) {
 	srv, addr := startServer(t, Config{
-		Mode: workloads.GPM, Shards: 1, Sets: 64, MaxBatch: 8, Workers: 1,
+		Mode: workloads.GPM, Shards: 1, Sets: 64, MaxBatch: 8,
 	})
 	br, c := dial(t, addr)
 	defer c.Close()
@@ -255,7 +255,7 @@ func TestTxnRetryReplaysVerdict(t *testing.T) {
 // COMMITTED while the cut keys were silently lost.
 func TestTornCommitLineNeverExecutes(t *testing.T) {
 	srv, addr := startServer(t, Config{
-		Mode: workloads.GPM, Shards: 1, Sets: 64, MaxBatch: 8, Workers: 1,
+		Mode: workloads.GPM, Shards: 1, Sets: 64, MaxBatch: 8,
 	})
 	br, c := dial(t, addr)
 	rt := func(req string) string { return roundTrip(t, c, br, req) }
@@ -354,7 +354,7 @@ func TestTxnDedupAbsorbAndAbortLedger(t *testing.T) {
 // before a crash: commit timestamps stay monotone across crash-restart.
 func TestOracleMonotoneAcrossRestart(t *testing.T) {
 	srv, addr := startServer(t, Config{
-		Mode: workloads.GPM, Shards: 1, Sets: 64, MaxBatch: 8, Workers: 1,
+		Mode: workloads.GPM, Shards: 1, Sets: 64, MaxBatch: 8,
 	})
 	br, c := dial(t, addr)
 	defer c.Close()
@@ -406,7 +406,7 @@ func TestOracleMonotoneAcrossRestart(t *testing.T) {
 // lets the floor pass it.
 func TestTxnGCWatermarkSafety(t *testing.T) {
 	srv, addr := startServer(t, Config{
-		Mode: workloads.GPM, Shards: 1, Sets: 64, MaxBatch: 8, Workers: 1,
+		Mode: workloads.GPM, Shards: 1, Sets: 64, MaxBatch: 8,
 	})
 	defer srv.Shutdown(5 * time.Second)
 	br, c := dial(t, addr)
@@ -513,7 +513,7 @@ func TestRunTxnLoadLedger(t *testing.T) {
 			tel := telemetry.New()
 			srv, addr := startServer(t, Config{
 				Mode: workloads.GPM, Shards: 2, Sets: 256, MaxBatch: 32,
-				BatchWait: 200 * time.Microsecond, Workers: 1, Telemetry: tel,
+				BatchWait: 200 * time.Microsecond, Telemetry: tel,
 			})
 			lres, err := RunLoad(LoadConfig{
 				Addr: addr, TxnConns: 3, Txns: 90, TxnSize: tc.size,

@@ -213,7 +213,7 @@ var drainRows = []wireRow{
 // draining server still answers.
 func TestWireGolden(t *testing.T) {
 	srv, addr := startServer(t, Config{
-		Mode: workloads.GPM, Shards: 2, Sets: 64, MaxBatch: 4, Workers: 1,
+		Mode: workloads.GPM, Shards: 2, Sets: 64, MaxBatch: 4,
 	})
 	br1, c1 := dial(t, addr)
 	defer c1.Close()
@@ -259,7 +259,7 @@ func TestWireGolden(t *testing.T) {
 // connection keeps serving. The bound is maxLine bytes, newline included.
 func TestOversizedLineKeepsConnection(t *testing.T) {
 	srv, addr := startServer(t, Config{
-		Mode: workloads.GPM, Shards: 1, Sets: 64, MaxBatch: 8, Workers: 1,
+		Mode: workloads.GPM, Shards: 1, Sets: 64, MaxBatch: 8,
 	})
 	defer srv.Shutdown(5 * time.Second)
 	br, c := dial(t, addr)

@@ -15,10 +15,15 @@ func NewRNG(seed uint64) *RNG {
 // Uint64 returns the next 64-bit pseudo-random value.
 func (r *RNG) Uint64() uint64 {
 	r.state += 0x9e3779b97f4a7c15
-	z := r.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	return Mix64(r.state)
+}
+
+// Mix64 is the SplitMix64 finalizer: a fixed bijective scramble of x. It
+// derives independent seeds from structured inputs and maps ranks to keys.
+func Mix64(x uint64) uint64 {
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
 }
 
 // Uint32 returns the next 32-bit pseudo-random value.

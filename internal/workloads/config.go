@@ -17,13 +17,6 @@ type Config struct {
 	// paper uses the best of 2–32 per application).
 	CAPThreads int
 
-	// Workers bounds how many GPU threadblocks execute on real goroutines
-	// at once (0 = GOMAXPROCS). Simulated results are bit-identical for
-	// every value — Workers trades host wall-clock time only, and 1 is the
-	// determinism reference. Run rejects values outside [0, MaxWorkers];
-	// see ValidateWorkers.
-	Workers int
-
 	// Simulated memory region sizes (bytes). Sized to the scaled
 	// workloads rather than the paper's hardware so that allocating a
 	// fresh node per run stays cheap.

@@ -37,7 +37,6 @@ func NewEnv(mode Mode, cfg Config) *Env {
 		mcfg = memsys.DefaultConfig()
 	}
 	ctx := gpm.NewContext(params, mcfg)
-	ctx.SetWorkers(cfg.Workers)
 	if mode.EADR() {
 		ctx.Space.SetEADR(true)
 	}
@@ -164,11 +163,12 @@ type Crasher interface {
 // runOne executes a workload under a mode on a fresh environment and
 // returns its report. The environment dies with the run, so its node's
 // memory is released for the next one.
-func runOne(w Workload, mode Mode, cfg Config) (*Report, error) {
+func runOne(w Workload, mode Mode, cfg Config, workers int) (*Report, error) {
 	if !w.Supports(mode) {
 		return nil, fmt.Errorf("workloads: %s does not support %s", w.Name(), mode)
 	}
 	env := NewEnv(mode, cfg)
+	env.Ctx.Dev.SetWorkers(workers)
 	defer env.Ctx.Space.Release()
 	if cfg.Telemetry != nil {
 		env.Ctx.AttachTelemetry(cfg.Telemetry, w.Name()+"/"+mode.String())

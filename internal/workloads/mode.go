@@ -5,6 +5,11 @@
 // plus the CPU-only PM baselines of Fig 1.
 package workloads
 
+import (
+	"fmt"
+	"strings"
+)
+
 // Mode selects the persistence system a workload runs under (§6.1).
 type Mode int
 
@@ -50,6 +55,19 @@ func (m Mode) String() string {
 		return s
 	}
 	return "unknown"
+}
+
+// ModeByName resolves a Mode from its String form (e.g. "GPM", "CAP-fs").
+// The error lists every valid name.
+func ModeByName(name string) (Mode, error) {
+	var valid []string
+	for m := GPM; m <= CPUOnly; m++ {
+		if m.String() == name {
+			return m, nil
+		}
+		valid = append(valid, m.String())
+	}
+	return 0, fmt.Errorf("workloads: unknown mode %q (valid: %s)", name, strings.Join(valid, ", "))
 }
 
 // UsesGPM reports whether kernels persist in-place from the GPU.

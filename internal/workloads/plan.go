@@ -63,11 +63,12 @@ const defaultRecrashEvery = 48
 // space's persist paths shut off (power has failed), so not even host-side
 // recovery code that keeps executing can make state durable after the
 // failure instant.
-func runWithPlan(w Crasher, mode Mode, cfg Config, plan CrashPlan) (*Report, error) {
+func runWithPlan(w Crasher, mode Mode, cfg Config, plan CrashPlan, workers int) (*Report, error) {
 	if !w.Supports(mode) {
 		return nil, fmt.Errorf("workloads: %s does not support %s", w.Name(), mode)
 	}
 	env := NewEnv(mode, cfg)
+	env.Ctx.Dev.SetWorkers(workers)
 	defer env.Ctx.Space.Release()
 	if cfg.Telemetry != nil {
 		env.Ctx.AttachTelemetry(cfg.Telemetry, w.Name()+"/"+mode.String()+"/crash")
