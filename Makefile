@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet check sim-digest recover-smoke obs-smoke chaos-smoke txn-smoke determinism bench figures quick-figures loc clean
+.PHONY: build test race vet check sim-digest recover-smoke obs-smoke chaos-smoke txn-smoke determinism fuzz-smoke bench figures quick-figures loc clean
 
 build:
 	$(GO) build ./...
@@ -85,6 +85,13 @@ obs-smoke:
 # is what varies it for every kernel that does not set it.
 determinism:
 	$(GO) test -race -timeout 25m -cpu=1,4 -run 'TestDeterminism|TestWindow|TestMixedKernelDeterminism' ./internal/experiments/ ./internal/gpu/
+
+# Run the serve package's fuzz targets past their seed corpora, 30 s each:
+# the wire parser, and the MVCC slot rows against the per-key chain model
+# they replaced. Plain go test runs only the seeds. Not part of check.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzParseRequest$$' -fuzztime 30s ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzMVCCHistory$$' -fuzztime 30s ./internal/serve
 
 # The repository's one benchmark (BENCHMARK.json, bench/README.md): five
 # workloads, both clocks, per-layer attribution; the last stdout line is the

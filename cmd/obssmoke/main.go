@@ -332,6 +332,7 @@ func checkStatusz(admin string, shards int, ops, txnCommits, txnAborts int64) er
 			OracleTS        uint64   `json:"oracle_ts"`
 			StableFloor     uint64   `json:"stable_floor"`
 			MVCCFloors      []uint64 `json:"mvcc_floor_by_shard"`
+			MVCCRows        []int    `json:"mvcc_rows_by_shard"`
 		} `json:"txn"`
 		Traces struct {
 			Captured int64 `json:"captured"`
@@ -371,6 +372,8 @@ func checkStatusz(admin string, shards int, ops, txnCommits, txnAborts int64) er
 		return fmt.Errorf("/statusz shows %d active snapshots after all txns resolved", doc.Txn.ActiveSnapshots)
 	case len(doc.Txn.MVCCFloors) != shards:
 		return fmt.Errorf("/statusz mvcc floors cover %d shards, want %d", len(doc.Txn.MVCCFloors), shards)
+	case len(doc.Txn.MVCCRows) != shards:
+		return fmt.Errorf("/statusz mvcc rows cover %d shards, want %d", len(doc.Txn.MVCCRows), shards)
 	}
 	fmt.Printf("/statusz: ok (%d shards, %d ops, %d txn commits / %d aborts, oracle ts %d, %d traces)\n",
 		doc.Shards, rowOps, rowCommits, rowAborts, doc.Txn.OracleTS, doc.Traces.Captured)

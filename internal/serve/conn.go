@@ -219,7 +219,7 @@ func (s *Server) dispatch(line string, st *connState, instant func(string), futu
 	case 'T':
 		// A snapshot is the oracle's stable floor: every commit unit at or
 		// below it has group-committed or rolled back. Registering it pins
-		// the version-chain GC watermark until the transaction ends.
+		// the MVCC floor's watermark until the transaction ends.
 		snap := s.snaps.begin(s.oracle)
 		st.hold(snap)
 		instant(r.line("BEGIN " + strconv.FormatUint(snap, 10)))
@@ -233,7 +233,8 @@ func (s *Server) dispatch(line string, st *connState, instant func(string), futu
 			instant(r.line("ERR invalid snapshot"))
 			return
 		}
-		val, ok, tooOld := s.shardFor(r.key).shard.MVCCReadAt(r.key, r.snap)
+		sh := s.shardFor(r.key).shard
+		val, ok, tooOld := sh.mvcc.readAt(r.key, sh.SlotOf(r.key), r.snap)
 		if tooOld {
 			instant(r.line("ERR snapshot too old"))
 		} else {

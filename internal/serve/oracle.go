@@ -90,7 +90,7 @@ func (o *tsOracle) reserve() uint64 {
 }
 
 // current returns the highest allocated ts (0 = none yet): the rebuild
-// timestamp for version chains reconstructed from a recovered mirror.
+// timestamp for slot rows reconstructed from a recovered image.
 func (o *tsOracle) current() uint64 {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -109,7 +109,7 @@ func (o *tsOracle) advanceTo(recovered uint64) {
 }
 
 // snapRegistry tracks live snapshot timestamps (open transactions) so the
-// version-chain GC never reclaims a version a live snapshot can read.
+// MVCC read floor never passes a row a live snapshot can read.
 type snapRegistry struct {
 	mu sync.Mutex
 	m  map[uint64]int // snapshot ts -> open txn count
@@ -120,9 +120,9 @@ func newSnapRegistry() *snapRegistry {
 }
 
 // begin hands out the oracle's stable floor as a transaction snapshot and
-// pins it, reading and pinning under the oracle's lock. watermark computes
-// the GC watermark under the same lock, so no GC pass can fall between a
-// BEGIN's floor read and its pin and raise the MVCC floor above the
+// pins it, reading and pinning under the oracle's lock. watermark is
+// computed under the same lock, so no floor raise can fall between a
+// BEGIN's floor read and its pin and lift the MVCC floor above the
 // snapshot it hands out.
 func (sr *snapRegistry) begin(o *tsOracle) uint64 {
 	o.mu.Lock()
@@ -134,7 +134,7 @@ func (sr *snapRegistry) begin(o *tsOracle) uint64 {
 	return snap
 }
 
-// watermark is the version-chain GC watermark: the oracle's stable floor,
+// watermark is the MVCC read floor's watermark: the oracle's stable floor,
 // or the oldest live snapshot when one is older.
 func (sr *snapRegistry) watermark(o *tsOracle) uint64 {
 	o.mu.Lock()

@@ -149,8 +149,8 @@ type Server struct {
 	started time.Time
 
 	// oracle is the server-wide monotonic timestamp authority for MVCC
-	// snapshot isolation; snaps tracks live snapshots so the version-chain
-	// GC never trims under an open transaction.
+	// snapshot isolation; snaps tracks live snapshots so the MVCC read
+	// floor never rises past an open transaction.
 	oracle *tsOracle
 	snaps  *snapRegistry
 
@@ -508,7 +508,7 @@ type shardWorker struct {
 	cTxnAborts  *telemetry.Counter
 	cTxnRetries *telemetry.Counter
 
-	commits uint64 // epochs retired since start (MVCC GC cadence)
+	commits uint64 // epochs retired since start (MVCC floor cadence)
 }
 
 func newShardWorker(sh *Shard, cfg Config, reg *telemetry.Registry) *shardWorker {
@@ -610,7 +610,7 @@ func (w *shardWorker) stageSlot(eb *epochBatch, slot int, firstKey uint64) *slot
 			}
 		}
 	} else {
-		bk, bv = w.shard.MVCCSlotImage(slot)
+		bk, bv = w.shard.mvcc.slotImage(slot)
 	}
 	st := &slotStage{baseKey: bk, baseVal: bv, key: bk, val: bv, firstKey: firstKey}
 	eb.slots[slot] = st
@@ -619,7 +619,8 @@ func (w *shardWorker) stageSlot(eb *epochBatch, slot int, firstKey uint64) *slot
 
 // stageWrite folds one logical mutation into an epoch: the slot image
 // advances, and the batch's version row (key, value, delete, commit ts,
-// request ID) records the mutation for the MVCC chains and the apply tally.
+// request ID) records the mutation for the MVCC slot rows and the apply
+// tally.
 func (w *shardWorker) stageWrite(eb *epochBatch, slot int, key, val uint64, del bool, ts uint64, rid ReqID) {
 	st := w.stageSlot(eb, slot, key)
 	if del {
@@ -741,7 +742,7 @@ func (w *shardWorker) admit(r *request) {
 		w.sketch.Observe(r.key)
 		m, mutPending := w.lastMut[slot]
 		if !mutPending {
-			if occ, val := w.shard.MVCCSlotImage(slot); occ != 0 && w.sketch.Hot(occ) && !w.shardDown {
+			if occ, val := w.shard.mvcc.slotImage(slot); occ != 0 && w.sketch.Hot(occ) && !w.shardDown {
 				// Committed state of a hot slot with no pending write:
 				// durable by construction, reply without a kernel trip. An
 				// occupant other than the key means the key is absent.
@@ -858,7 +859,7 @@ func (w *shardWorker) admitTxn(r *request, now time.Time, cliFloor uint64) {
 		for _, k := range t.keys {
 			slot := w.shard.SlotOf(k)
 			_, staged := w.lastMut[slot]
-			if staged || w.shard.MVCCLatestTS(k) > r.snap {
+			if staged || w.shard.mvcc.latestTS(k, slot) > r.snap {
 				line := r.line("ABORT " + strconv.FormatUint(k, 10))
 				w.cTxnAborts.Inc()
 				if !r.rid.Zero() {
@@ -1066,13 +1067,15 @@ func (w *shardWorker) onCommit(eb *epochBatch) {
 		}
 	}
 	w.commits++
-	if w.commits%mvccGCEvery == 0 {
-		w.shard.MVCCGC(w.snaps.watermark(w.oracle))
+	if w.commits%mvccFloorEvery == 0 {
+		w.shard.mvcc.raiseFloor(w.snaps.watermark(w.oracle))
 	}
 }
 
-// mvccGCEvery is the epoch cadence of version-chain garbage collection.
-const mvccGCEvery = 16
+// mvccFloorEvery is the epoch cadence of raising the MVCC read floor to
+// the watermark. The lag is wire-visible: a snapshot stays readable for up
+// to this many epochs after it is released.
+const mvccFloorEvery = 16
 
 // flushStaged aborts every epoch still staged behind a rolled-back
 // crash-restart: identified riders are told to retry (and become holes, so
@@ -1246,12 +1249,12 @@ func (w *shardWorker) handleCrash(eb *epochBatch, committed bool) {
 	} else {
 		// Resume the oracle past the shard's durable reservation (a no-op
 		// while the in-process oracle outlives the crash, but the honest
-		// path), then rebuild the version chains from the recovered mirror:
-		// every live key gets one version at the rebuild timestamp, and the
-		// MVCC read floor rises so pre-crash snapshots answer "snapshot too
-		// old" instead of reading chains the crash discarded.
+		// path), then rebuild the slot rows from the recovered image: every
+		// occupied slot keeps one row at the rebuild timestamp, and the MVCC
+		// read floor rises so pre-crash snapshots answer "snapshot too old"
+		// instead of reading history the crash discarded.
 		w.oracle.advanceTo(w.shard.RecoveredOracleHWM())
-		w.shard.MVCCReset(w.oracle.current())
+		w.shard.mvcc.reset(w.oracle.current())
 	}
 	eb.resync = w.shard.DedupSnapshot()
 	// Notify the batcher before releasing replies: by the time a client can
@@ -1289,7 +1292,7 @@ func (w *shardWorker) applyLoop() {
 			continue
 		}
 		eb.ok = true
-		// Apply folded the epoch into the version chains, so its commit
+		// Apply folded the epoch into the slot rows, so its commit
 		// units are stable: release their timestamps before any reply goes
 		// out, so a BEGIN that follows an acknowledged write reads it (a
 		// new snapshot can never miss a version below its floor).

@@ -52,9 +52,10 @@ type Batch struct {
 
 	// VerKeys/VerVals/VerDel/VerTS/VerIDs carry EVERY logical mutation the
 	// epoch squashed onto its kernel slots, each with its MVCC commit
-	// timestamp: the version-chain commit and the per-ID apply tally. When
+	// timestamp: the slot-row commit and the per-ID apply tally. When
 	// VerKeys is empty the batch is a legacy direct-Apply batch and
-	// SetKeys/DelKeys are both the kernel ops and the logical mutations.
+	// SetKeys/DelKeys are both the kernel ops and the logical mutations;
+	// only the store and golden tests and the bench's apply probe send them.
 	// VerIDs carries a request ID only on the first write of a multi-write
 	// transaction commit (one tally per commit unit).
 	VerKeys, VerVals []uint64
@@ -359,7 +360,7 @@ func (s *Shard) commitImage(b *Batch) {
 			s.tally[id]++
 		}
 	}
-	s.mvccCommit(b)
+	s.mvcc.commit(b, s.SlotOf)
 }
 
 // slotWrites counts the store slots b's mutate kernels write — every SET,
@@ -692,10 +693,7 @@ func (s *Shard) recoverLogs() ([]int, int64, error) {
 // image folds the logical mutations, not the kernel ops the seal derived
 // from them, so Verify also checks the seal.
 func (s *Shard) Verify() error {
-	s.mvcc.mu.Lock()
-	err := s.store.CheckDurable(s.mvcc.slots)
-	s.mvcc.mu.Unlock()
-	if err != nil {
+	if err := s.store.CheckDurable(s.mvcc.image()); err != nil {
 		err = fmt.Errorf("serve: shard %d %w", s.id, err)
 		s.audit.Record(obs.AuditEvent{
 			Type: obs.AuditVerify, Shard: s.id, Mode: s.mode.String(),

@@ -26,12 +26,14 @@ func txnFingerprint(snap uint64, keys, vals []uint64, dels []bool) uint64 {
 
 // TxnStatus is the /statusz transaction section: live snapshot count and
 // the oracle's allocation/stability frontier, plus each shard's MVCC read
-// floor (the oldest snapshot its version chains can still answer).
+// floor (the oldest snapshot its slot rows can still answer) and the rows
+// its history holds.
 type TxnStatus struct {
 	ActiveSnapshots int      `json:"active_snapshots"`
 	OracleTS        uint64   `json:"oracle_ts"`
 	StableFloor     uint64   `json:"stable_floor"`
 	MVCCFloors      []uint64 `json:"mvcc_floor_by_shard"`
+	MVCCRows        []int    `json:"mvcc_rows_by_shard"`
 }
 
 // TxnStatus reports the server's MVCC/transaction state (safe from any
@@ -43,7 +45,9 @@ func (s *Server) TxnStatus() TxnStatus {
 		StableFloor:     s.oracle.snapshot(),
 	}
 	for _, w := range s.workers {
-		ts.MVCCFloors = append(ts.MVCCFloors, w.shard.MVCCFloor())
+		floor, rows := w.shard.mvcc.stats()
+		ts.MVCCFloors = append(ts.MVCCFloors, floor)
+		ts.MVCCRows = append(ts.MVCCRows, rows)
 	}
 	return ts
 }

@@ -421,8 +421,8 @@ func TestTxnGCWatermarkSafety(t *testing.T) {
 	}
 	snap := beginTxn(t, rt)
 
-	// Push far more than mvccGCEvery epoch commits past the snapshot.
-	for i := 0; i < 3*mvccGCEvery; i++ {
+	// Push far more than mvccFloorEvery epoch commits past the snapshot.
+	for i := 0; i < 3*mvccFloorEvery; i++ {
 		if got := rt(fmt.Sprintf("SET 9 %d", i+2)); got != "OK" {
 			t.Fatalf("churn SET -> %q", got)
 		}
@@ -435,7 +435,7 @@ func TestTxnGCWatermarkSafety(t *testing.T) {
 		t.Fatalf("ABORT -> %q", got)
 	}
 	// With the pin gone, more churn lets GC pass the old snapshot.
-	for i := 0; i < 3*mvccGCEvery; i++ {
+	for i := 0; i < 3*mvccFloorEvery; i++ {
 		if got := rt(fmt.Sprintf("SET 9 %d", i+100)); got != "OK" {
 			t.Fatalf("churn SET -> %q", got)
 		}
@@ -445,13 +445,13 @@ func TestTxnGCWatermarkSafety(t *testing.T) {
 	}
 }
 
-// A GC pass issued between a BEGIN's floor read and its pin must not raise
-// the MVCC floor above the snapshot BEGIN hands out. The interleaving is
-// forced: holding the registry lock parks BEGIN right after its floor read
-// (it owns the oracle lock and waits to pin), and only then does the open
-// epoch commit and the batcher's GC pass start. Reading and pinning in two
-// steps, that pass would trim to the new floor and the transaction's first
-// snapshot read would answer "snapshot too old".
+// A floor raise issued between a BEGIN's floor read and its pin must not
+// lift the MVCC floor above the snapshot BEGIN hands out. The interleaving
+// is forced: holding the registry lock parks BEGIN right after its floor
+// read (it owns the oracle lock and waits to pin), and only then does the
+// open epoch commit and the batcher's floor raise start. Reading and
+// pinning in two steps, that raise would pass the snapshot and the
+// transaction's first snapshot read would answer "snapshot too old".
 func TestBeginSnapshotSurvivesGCBeforePin(t *testing.T) {
 	o, sr, m := newOracle(0), newSnapRegistry(), newMVCC(1)
 	commit := func(val, ts uint64) {
@@ -473,11 +473,11 @@ func TestBeginSnapshotSurvivesGCBeforePin(t *testing.T) {
 	}
 	gcDone := make(chan struct{})
 	go func() {
-		// The applier folds ts2's version in, the batcher retires the epoch
-		// and runs a GC pass (onCommit).
+		// The applier folds ts2's row in, the batcher retires the epoch
+		// and raises the floor (onCommit).
 		commit(2, ts2)
 		o.release(ts2)
-		m.gc(sr.watermark(o))
+		m.raiseFloor(sr.watermark(o))
 		close(gcDone)
 	}()
 	sr.mu.Unlock()
@@ -486,8 +486,8 @@ func TestBeginSnapshotSurvivesGCBeforePin(t *testing.T) {
 	if snap != ts1 {
 		t.Fatalf("BEGIN snapshot = %d, want the floor it read before the commit (%d)", snap, ts1)
 	}
-	if val, found, tooOld := m.readAt(9, snap); tooOld || !found || val != 1 {
-		t.Errorf("read @%d after GC = (%d, found %v, too old %v), want 1", snap, val, found, tooOld)
+	if val, found, tooOld := m.readAt(9, 0, snap); tooOld || !found || val != 1 {
+		t.Errorf("read @%d after the floor raise = (%d, found %v, too old %v), want 1", snap, val, found, tooOld)
 	}
 	if wm := sr.watermark(o); wm != ts1 {
 		t.Errorf("watermark with the snapshot pinned = %d, want %d", wm, ts1)
