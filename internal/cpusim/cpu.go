@@ -164,8 +164,7 @@ func (t *Thread) FlushWrites() {
 // flushed lines durable.
 func (t *Thread) Drain() {
 	t.clock += t.host.Params.CPUDrainCost
-	t.host.Space.PersistLinesSeq(t.flushed, t.nextSeq())
-	t.flushed = t.flushed[:0]
+	t.flushed = t.host.Space.PersistLinesSeqInto(t.flushed, t.flushed, t.nextSeq())[:0]
 }
 
 // FlushForeignRange flushes lines that some OTHER agent (the GPU, via

@@ -31,7 +31,7 @@ const (
 // and is resumed by the hub when that thread's turn comes (see schedule).
 //
 // At any instant exactly one of the hub and its runners executes, so all
-// block-local state (shared memory, warp logs, barrier counts, stats) is
+// block-local state (shared memory, SIMT steps, barrier counts, stats) is
 // mutex-free; the happens-before edges are the coroutine switches
 // themselves and the engine's round mutex.
 type Block struct {
@@ -56,9 +56,12 @@ type Block struct {
 	ready     []int32
 	readyHead int
 
-	idle  []*runner     // runners with no thread, reusable by this block
-	wake  chan struct{} // engine -> block: atomic round committed
-	batch replayBatch   // reused across warp-log flushes
+	idle []*runner     // runners with no thread, reusable by this block
+	wake chan struct{} // engine -> block: atomic round committed
+
+	// pmWrites is one flush's PM write pattern: sequentiality restarts at
+	// each flush, and flush merges it into stats.
+	pmWrites sim.AccessStats
 
 	out *blockOutcome // finish results, read by Launch after the wave joins
 	wg  *sync.WaitGroup
@@ -167,8 +170,8 @@ func (b *Block) requeue(s threadState) {
 
 // next returns the lowest-ID runnable thread, resolving block-local
 // quiescence on the calling stack. A barrier every live thread has reached
-// releases here: the warp logs flush, aligning warp clocks to the block
-// maximum. When every live thread is parked at an atomic (or behind a
+// releases here: the warps' SIMT steps flush, aligning warp clocks to the
+// block maximum. When every live thread is parked at an atomic (or behind a
 // barrier an atomic is holding up) the block reports quiescent to the
 // engine and sleeps until the round commits (results are staged in each
 // thread's aOld/aLines). Returns nil once every thread has exited.
@@ -261,7 +264,7 @@ func (b *Block) park(t *Thread) {
 	t.state = tsRunning
 }
 
-// finish retires the block: replay remaining warp logs, harvest the results
+// finish retires the block: flush the remaining SIMT steps, harvest the results
 // Launch reads after the join, pool the runners, recycle the Block, and free
 // the window slot. Runs on the hub. The harvest must complete before the
 // pool Put — a concurrent spawner may reuse the Block the moment it is
@@ -297,21 +300,25 @@ func (b *Block) finish() {
 	wg.Done()
 }
 
-// flush replays every warp's pending operations and returns the block's
-// critical path. At a block-wide barrier (align) it also aligns all warp
-// clocks to the block maximum.
+// flush advances every warp's clock through the SIMT steps its lanes have
+// folded since the last flush and returns the block's critical path. At a
+// block-wide barrier (align) it also aligns all warp clocks to the block
+// maximum.
 func (b *Block) flush(align bool) sim.Duration {
-	b.batch.reset()
+	b.pmWrites.Reset()
 	var maxClock sim.Duration
 	for _, w := range b.warps {
-		w.replay(b.dev.Params, &b.batch)
+		w.drain(&b.pmWrites)
 		maxClock = max(maxClock, w.clock)
+	}
+	for _, t := range b.threads {
+		t.nstep = 0
 	}
 	if align {
 		for _, w := range b.warps {
 			w.clock = maxClock
 		}
 	}
-	b.stats.merge(&b.batch)
+	b.stats.pmWrites.Merge(&b.pmWrites)
 	return maxClock
 }

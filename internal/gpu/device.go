@@ -8,12 +8,13 @@
 // thread-ID order between synchronization points; only threads that park
 // at a barrier or atomic continue on a pooled coroutine (see Block). Blocks
 // are scheduled over a worker window and grouped into waves of at most
-// NumSMs×MaxBlocksPerSM resident blocks, like hardware occupancy. Every
-// thread records its memory operations into a per-lane log; at each block
-// barrier and at block exit the warp logs are replayed in SIMT lockstep
-// order (the i-th operation of every lane forms one step), which is where
-// the 128-byte hardware coalescer merges per-lane stores into transactions
-// and where per-warp simulated clocks advance. A kernel's elapsed time is
+// NumSMs×MaxBlocksPerSM resident blocks, like hardware occupancy. Each
+// warp keeps one SIMT step per lockstep position: a lane's i-th operation
+// since the last flush folds into the warp's i-th step as it issues, and
+// that is where the 128-byte hardware coalescer merges the lanes' accesses
+// into transactions. At each block barrier and at block exit the block
+// flushes: each warp's simulated clock advances through its steps in order.
+// A kernel's elapsed time is
 // the maximum of its critical path (slowest warp, summed over waves), the
 // bandwidth bounds of PM/PCIe/HBM, the PCIe outstanding-transaction bound,
 // and any software serialization (e.g. lock-based logging).
@@ -215,14 +216,13 @@ func (d *Device) acquireBlock(eng *engine, id, grid, tpb int, kern func(*Thread)
 	b.stats, b.out, b.wg = st, out, wg
 	b.live, b.arrived, b.nAtomic = tpb, 0, 0
 	b.shared = nil
-	b.batch.reset()
 	b.ready = b.ready[:0]
 	b.readyHead = 0
 	for i := 0; i < tpb; i++ {
 		b.ready = append(b.ready, int32(i))
 	}
 	for _, w := range b.warps {
-		w.clock = 0 // lane logs and positions are reset by replay itself
+		w.clock = 0 // steps and step counters are reset by flush itself
 	}
 	for _, t := range b.threads {
 		t.state = tsNew
@@ -248,11 +248,7 @@ func (d *Device) newBlock(tpb int) *Block {
 		wake:     make(chan struct{}, 1),
 	}
 	for i := range b.warps {
-		width := ws
-		if i == nWarps-1 && tpb%ws != 0 {
-			width = tpb % ws
-		}
-		b.warps[i] = newWarp(width)
+		b.warps[i] = new(warp)
 	}
 	for tid := 0; tid < tpb; tid++ {
 		b.threads[tid] = &Thread{

@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"reflect"
 	"sync/atomic"
 	"testing"
 
@@ -446,7 +447,7 @@ func TestLoadF32sIsOneAllocationFreeWideLoad(t *testing.T) {
 				t.Fatalf("row element %d = %v, %v", i, x[i], y[i])
 			}
 		}
-		// The lane log's amortised growth is not the row load's.
+		// The SIMT steps' amortised growth is not the row load's.
 		allocs = testing.AllocsPerRun(100, func() { th.LoadF32s(0, a, n) })
 	})
 	if allocs != 0 {
@@ -461,5 +462,160 @@ func TestLoadF32sIsOneAllocationFreeWideLoad(t *testing.T) {
 		t.Errorf("row loads (%d txns, %d B, %v) differ from raw loads (%d txns, %d B, %v)",
 			rows.Stats.PMReadTxns, rows.Stats.PMReadBytes, rows.Elapsed,
 			raw.Stats.PMReadTxns, raw.Stats.PMReadBytes, raw.Elapsed)
+	}
+}
+
+// TestCoalescerRules pins the coalescer's rule on one-step warp scripts:
+// within a SIMT step, the host DRAM and PM accesses of one kind to one
+// CoalesceBytes block form one transaction, grouped under the block an
+// access starts in and spanning its lowest address to its highest end; HBM
+// accesses count bytes only; the step costs the max over its operations;
+// and the step's PM writes reach the pattern stats — stores, then atomics,
+// each in ascending address order — whatever order the lanes issued them
+// in. Every expectation is derived by hand from that rule.
+func TestCoalescerRules(t *testing.T) {
+	type mem struct{ pm, dram, hbm uint64 }
+	p := sim.Default()
+	cases := []struct {
+		name   string
+		script func(th *Thread, m mem)
+		stats  Stats
+		pat    sim.AccessSnapshot
+		lat    sim.Duration // the step's latency
+	}{{
+		// Records (pm+128i, 128) for i = 0..31: one 256-aligned run, every
+		// byte on the fast path.
+		name: "pm stores ascending",
+		script: func(th *Thread, m mem) {
+			th.StoreBytes(m.pm+128*uint64(th.Lane()), make([]byte, 128))
+		},
+		stats: Stats{PMWriteBytes: 4096, PMWriteTxns: 32},
+		pat:   sim.AccessSnapshot{Txns: 32, Bytes: 4096, Sequential: 31, Aligned256: 16, BytesFast: 4096},
+		lat:   p.GPUIssueCost,
+	}, {
+		name: "pm stores descending",
+		script: func(th *Thread, m mem) {
+			th.StoreBytes(m.pm+128*uint64(31-th.Lane()), make([]byte, 128))
+		},
+		stats: Stats{PMWriteBytes: 4096, PMWriteTxns: 32},
+		pat:   sim.AccessSnapshot{Txns: 32, Bytes: 4096, Sequential: 31, Aligned256: 16, BytesFast: 4096},
+		lat:   p.GPUIssueCost,
+	}, {
+		// The atomic (lane 0, pm+4) records after the store (lane 1, pm),
+		// and continues its run.
+		name: "pm store and atomic share a block",
+		script: func(th *Thread, m mem) {
+			switch th.Lane() {
+			case 0:
+				th.AtomicAdd32(m.pm+4, 1)
+			case 1:
+				th.StoreU32(m.pm, 1)
+			}
+		},
+		stats: Stats{PMWriteBytes: 8, PMWriteTxns: 2},
+		pat:   sim.AccessSnapshot{Txns: 2, Bytes: 8, Sequential: 1, Aligned256: 1, BytesFast: 4, BytesRandom: 4},
+		lat:   max(p.GPUIssueCost, p.PCIeRTT),
+	}, {
+		name: "dram load and store share a block",
+		script: func(th *Thread, m mem) {
+			a := m.dram + 4*uint64(th.Lane())
+			if th.Lane() < 16 {
+				th.LoadU32(a)
+			} else {
+				th.StoreU32(a, 1)
+			}
+		},
+		stats: Stats{HostReadBytes: 64, HostWriteBytes: 64, HostTxns: 2},
+		lat:   max(p.GPULoadStall, p.GPUIssueCost),
+	}, {
+		name: "scattered hbm loads",
+		script: func(th *Thread, m mem) {
+			th.LoadU32(m.hbm + 4096*uint64(th.Lane()))
+		},
+		stats: Stats{HBMBytes: 128},
+		lat:   p.HBMLatency,
+	}, {
+		// Block 0 holds [pm+120, pm+132): lane 0's store straddles into
+		// block 1 and lane 2's starts lower. Block 1 holds lane 1's
+		// [pm+132, pm+136), which continues block 0's span.
+		name: "straddling store groups under its start block",
+		script: func(th *Thread, m mem) {
+			switch th.Lane() {
+			case 0:
+				th.StoreU64(m.pm+124, 1)
+			case 1:
+				th.StoreU32(m.pm+132, 1)
+			case 2:
+				th.StoreU32(m.pm+120, 1)
+			}
+		},
+		stats: Stats{PMWriteBytes: 16, PMWriteTxns: 2},
+		pat:   sim.AccessSnapshot{Txns: 2, Bytes: 16, Sequential: 1, BytesSeqUnaligned: 4, BytesRandom: 12},
+		lat:   p.GPUIssueCost,
+	}, {
+		name: "long compute beside stores",
+		script: func(th *Thread, m mem) {
+			if th.Lane() == 0 {
+				th.Compute(sim.Microsecond)
+				return
+			}
+			th.StoreU32(m.hbm+4*uint64(th.Lane()), 1)
+		},
+		stats: Stats{HBMBytes: 124},
+		lat:   max(sim.Duration(float64(sim.Microsecond)*p.GPUComputeScale), p.GPUIssueCost),
+	}, {
+		name: "short compute beside stores",
+		script: func(th *Thread, m mem) {
+			if th.Lane() == 0 {
+				th.Compute(sim.Nanosecond)
+				return
+			}
+			th.StoreU32(m.hbm+4*uint64(th.Lane()), 1)
+		},
+		stats: Stats{HBMBytes: 124},
+		lat:   max(sim.Duration(float64(sim.Nanosecond)*p.GPUComputeScale), p.GPUIssueCost),
+	}}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			d := newDev(t)
+			m := mem{pm: d.Space.AllocPM(8192, 0), dram: d.Space.AllocDRAM(4096), hbm: d.Space.AllocHBM(1 << 17)}
+			res := d.Launch(c.name, 1, 32, func(th *Thread) { c.script(th, m) })
+			got := res.Stats
+			got.Serial, got.pmPattern = nil, sim.AccessSnapshot{}
+			if !reflect.DeepEqual(got, c.stats) {
+				t.Errorf("stats = %+v, want %+v", got, c.stats)
+			}
+			if pat := res.Stats.PMPattern(); pat != c.pat {
+				t.Errorf("PM pattern = %+v, want %+v", pat, c.pat)
+			}
+			if want := d.Params.KernelLaunch + c.lat; res.Elapsed != want {
+				t.Errorf("elapsed = %v, want launch + %v = %v", res.Elapsed, c.lat, want)
+			}
+		})
+	}
+}
+
+// A persisting kernel's fence passes its dirty lines to the LLC through the
+// thread's scratch, so a launch's allocations do not grow with its fences.
+func TestFencedLaunchAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("-race drops pooled Blocks at random, inflating allocation counts")
+	}
+	d := newDev(t)
+	d.Space.SetDDIOOff(true)
+	const blocks, tpb, iters = 2, 64, 8
+	hbm := d.Space.AllocHBM(4 * blocks * tpb)
+	pm := d.Space.AllocPM(4*blocks*tpb*iters, 0)
+	kern := func(th *Thread) {
+		g := uint64(th.GlobalID())
+		for i := uint64(0); i < iters; i++ {
+			th.StoreU32(hbm+4*g, th.LoadU32(hbm+4*g)+1)
+			th.SyncBlock()
+			th.StoreU32(pm+4*(i*blocks*tpb+g), uint32(i))
+			th.FenceSystem()
+		}
+	}
+	if allocs := testing.AllocsPerRun(20, func() { d.Launch("fenced", blocks, tpb, kern) }); allocs > 16 {
+		t.Errorf("fenced launch: %v allocs, want <= 16", allocs)
 	}
 }

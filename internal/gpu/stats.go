@@ -78,26 +78,6 @@ func (k *kernelStats) addSerial(id uint32, d sim.Duration) {
 	k.serial[id] += d
 }
 
-// merge folds one warp-replay batch into the block totals. Single-threaded:
-// only the block's executing hub or runner calls it.
-func (k *kernelStats) merge(b *replayBatch) {
-	k.pmWriteBytes += b.pmWriteBytes
-	k.pmWriteTxns += b.pmWriteTxns
-	k.pmReadBytes += b.pmReadBytes
-	k.pmReadTxns += b.pmReadTxns
-	k.hostWriteBytes += b.hostWriteBytes
-	k.hostReadBytes += b.hostReadBytes
-	k.hostTxns += b.hostTxns
-	k.hbmBytes += b.hbmBytes
-	k.fences += b.fences
-	for id, d := range b.serial {
-		if d != 0 {
-			k.addSerial(uint32(id), d)
-		}
-	}
-	k.pmWrites.Merge(&b.pmWrites)
-}
-
 // mergeFrom folds another block's totals into k. It runs in Launch's serial
 // reduction phase (block-ID order), after all block goroutines have joined,
 // so no locking is needed; every term is a commutative sum, but the fixed

@@ -23,6 +23,7 @@ type Thread struct {
 	lane int // lane within the warp
 
 	dirty []uint64 // virtual PM lines written since the last system fence
+	nstep int      // operations since the last flush: the next one's SIMT step
 
 	// Cooperative-scheduling state (owned by the block's executing hub or
 	// runner; the engine reads the atomic operand fields under its round
@@ -80,10 +81,38 @@ func (t *Thread) Device() *Device { return t.blk.dev }
 // Space returns the unified memory space.
 func (t *Thread) Space() *memsys.Space { return t.blk.dev.Space }
 
-// ---- Logging helpers ----
+// ---- SIMT step helpers ----
 
-func (t *Thread) log(op laneOp) {
-	t.warp.lanes[t.lane] = append(t.warp.lanes[t.lane], op)
+// step returns the SIMT step this thread's next operation folds into: a
+// lane's i-th operation since the last flush belongs to its warp's i-th step.
+func (t *Thread) step() *simtStep {
+	w := t.warp
+	if t.nstep == len(w.steps) {
+		w.grow()
+	}
+	t.nstep++
+	return &w.steps[t.nstep-1]
+}
+
+// access folds one memory access of this thread into its next SIMT step.
+// A host DRAM or PM access goes through the coalescer. An HBM (or
+// invalid-space) access has no transaction counter: it adds its bytes at
+// its kind's latency.
+func (t *Thread) access(kind opKind, addr uint64, size int) {
+	d, st, s := t.blk.dev, t.blk.stats, t.step()
+	if space := d.Space.KindOf(addr); space == memsys.KindPM || space == memsys.KindDRAM {
+		s.coalesce(d.Params, st, kind, space, addr, size)
+		return
+	}
+	st.hbmBytes += int64(size)
+	switch kind {
+	case opStore:
+		s.wait(d.Params.GPUIssueCost)
+	case opLoad:
+		s.wait(d.Params.HBMLatency)
+	default:
+		s.wait(4 * d.Params.HBMLatency)
+	}
 }
 
 // checkCrash advances this thread's canonical operation index and runs the
@@ -142,14 +171,14 @@ func (t *Thread) StoreBytes(addr uint64, p []byte) {
 	lines := t.Space().WriteGPUSeqInto(t.lineScratch[:0], addr, p, t.curSeq)
 	t.trackDirty(lines)
 	t.lineScratch = lines[:0]
-	t.log(laneOp{kind: opStore, addr: addr, size: uint32(len(p)), space: t.Space().KindOf(addr)})
+	t.access(opStore, addr, len(p))
 }
 
 // LoadBytes reads len(p) bytes at addr into p.
 func (t *Thread) LoadBytes(addr uint64, p []byte) {
 	t.checkCrash()
 	t.Space().Read(addr, p)
-	t.log(laneOp{kind: opLoad, addr: addr, size: uint32(len(p)), space: t.Space().KindOf(addr)})
+	t.access(opLoad, addr, len(p))
 }
 
 // LoadF32s reads n contiguous little-endian float32s at addr as one wide
@@ -223,27 +252,29 @@ func (t *Thread) LoadF64(addr uint64) float64 { return math.Float64frombits(t.Lo
 // pitfall GPM's persist_begin/persist_end exists to avoid (§3.1).
 func (t *Thread) FenceSystem() {
 	t.checkCrash()
-	sp := t.Space()
-	ddioOff := sp.DDIOOff()
+	sp, p := t.Space(), t.blk.dev.Params
 	lines := t.dedupeLines(t.dirty)
-	if ddioOff {
-		sp.PersistLinesSeq(lines, t.curSeq)
+	cost := p.LLCFenceRTT
+	if sp.DDIOOff() {
+		t.lineScratch = sp.PersistLinesSeqInto(t.lineScratch, lines, t.curSeq)[:0]
+		cost = p.PCIeRTT + sim.Duration(len(lines))*p.PMDrainPerLine
 	}
 	t.dirty = t.dirty[:0]
-	t.log(laneOp{kind: opFence, aux: uint32(len(lines)), flag: ddioOff})
+	t.blk.stats.fences++
+	t.step().wait(cost)
 }
 
 // FenceDevice is __threadfence(): device-scope ordering only. In this model
 // writes are immediately visible, so only the timing cost is recorded.
 func (t *Thread) FenceDevice() {
 	t.checkCrash()
-	t.log(laneOp{kind: opCompute, dur: 40 * sim.Nanosecond})
+	t.Compute(40 * sim.Nanosecond)
 }
 
 // FenceBlock is __threadfence_block().
 func (t *Thread) FenceBlock() {
 	t.checkCrash()
-	t.log(laneOp{kind: opCompute, dur: 10 * sim.Nanosecond})
+	t.Compute(10 * sim.Nanosecond)
 }
 
 // SyncBlock is __syncthreads(): all live threads of the block rendezvous.
@@ -260,7 +291,7 @@ func (t *Thread) SyncBlock() {
 
 // Compute accounts d of pure computation on this thread.
 func (t *Thread) Compute(d sim.Duration) {
-	t.log(laneOp{kind: opCompute, dur: d})
+	t.step().wait(sim.Duration(float64(d) * t.blk.dev.Params.GPUComputeScale))
 }
 
 // Serialize accounts d of simulated time on a named serial software
@@ -268,8 +299,8 @@ func (t *Thread) Compute(d sim.Duration) {
 // cost does not parallelize: the kernel cannot finish before the sum of all
 // time serialized on any single resource.
 func (t *Thread) Serialize(resource string, d sim.Duration) {
-	id := t.blk.dev.ResourceID(resource)
-	t.log(laneOp{kind: opSerial, aux: id, dur: d})
+	t.blk.stats.addSerial(t.blk.dev.ResourceID(resource), d)
+	t.step() // the lane still occupies the step
 }
 
 // ---- Host-proxy operations (GPUfs daemon writes) ----
@@ -278,7 +309,7 @@ func (t *Thread) Serialize(resource string, d sim.Duration) {
 // (the GPUfs RPC path): the payload lands in the CPU caches with this
 // operation's canonical sequence, so its durability ordering is
 // schedule-independent. Timing is accounted separately by the caller
-// (Serialize/Compute); no warp-log entry is recorded.
+// (Serialize/Compute); the operation takes no SIMT step.
 func (t *Thread) HostWriteBytes(addr uint64, p []byte) {
 	t.checkCrash()
 	t.Space().WriteCPUSeq(addr, p, t.curSeq)
@@ -297,7 +328,7 @@ func (t *Thread) HostPersistRange(addr uint64, n int) {
 // executes when every runnable thread of the wave has parked or exited, in
 // canonical (block, thread) order — so the value each thread observes is
 // identical for every spawn window. The timing model is unchanged: the
-// operation is logged and costed at warp replay, exactly as when atomics
+// operation folds into the lane's SIMT step, exactly as when atomics
 // executed inline.
 func (t *Thread) atomicApply32(addr uint64, f func(uint32) uint32) (old uint32) {
 	t.checkCrash()
@@ -308,7 +339,7 @@ func (t *Thread) atomicApply32(addr uint64, f func(uint32) uint32) (old uint32) 
 	b.park(t)
 	t.aFn = nil
 	t.trackDirty(t.aLines)
-	t.log(laneOp{kind: opAtomic, addr: addr, size: 4, space: t.Space().KindOf(addr)})
+	t.access(opAtomic, addr, 4)
 	return t.aOld
 }
 

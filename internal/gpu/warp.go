@@ -1,233 +1,148 @@
 package gpu
 
 import (
+	"slices"
+
 	"github.com/gpm-sim/gpm/internal/memsys"
 	"github.com/gpm-sim/gpm/internal/sim"
 )
 
+// opKind is a memory access's class. Its order is the coalescer's: within a
+// step, a PM store transaction issues before a PM atomic one.
 type opKind uint8
 
 const (
 	opStore opKind = iota
 	opLoad
-	opFence
-	opCompute
 	opAtomic
-	opSerial
 )
 
-// laneOp is one recorded thread operation, replayed later in SIMT order.
-type laneOp struct {
-	addr  uint64
-	dur   sim.Duration // compute/serial duration
-	size  uint32
-	aux   uint32 // fence: dirty-line count; serial: resource id
-	kind  opKind
-	space memsys.Kind
-	flag  bool // fence: DDIO was off (must drain to ADR domain)
+// blkBits is where a transaction key's (kind, space) sits above its block
+// number. Only host DRAM and PM accesses form transactions, and their
+// addresses stay below 2^50, so any block number fits below it.
+const blkBits = 60
+
+// txnKey orders a step's transactions by (kind, space, block).
+func txnKey(kind opKind, space memsys.Kind, blk uint64) uint64 {
+	return uint64(kind)<<62 | uint64(space)<<blkBits | blk
+}
+
+var (
+	pmStoreKey  = txnKey(opStore, memsys.KindPM, 0)
+	pmAtomicKey = txnKey(opAtomic, memsys.KindPM, 0)
+)
+
+// txn is one coalesced transaction: a step's accesses of one kind to one
+// CoalesceBytes block of host DRAM or PM, spanning [lo, end).
+type txn struct {
+	key, lo, end uint64
+}
+
+// simtStep is one SIMT step of a warp: the i-th operation of every lane
+// since the last flush, folded in as each lane issues it.
+type simtStep struct {
+	dur  sim.Duration // the step's latency: the max over its operations
+	txns []txn        // ascending key order
 }
 
 // warp models 32 lanes executing in lockstep with a shared clock.
 type warp struct {
-	lanes [][]laneOp
-	pos   []int
 	clock sim.Duration
-
-	step []laneOp // scratch: memory ops of the current SIMT step
+	steps []simtStep // the steps since the last flush; drained ones are reused
+	arena []txn      // carves each new step's first transaction slot
 }
 
-func newWarp(width int) *warp {
-	return &warp{
-		lanes: make([][]laneOp, width),
-		pos:   make([]int, width),
+// grow opens the warp's next step, reusing a drained one's storage. A step
+// seen for the first time takes its one-transaction slot from the arena, so
+// a deep kernel's first pass does not allocate per step.
+func (w *warp) grow() {
+	n := len(w.steps)
+	if n < cap(w.steps) {
+		w.steps = w.steps[:n+1]
+	} else {
+		w.steps = append(w.steps, simtStep{})
+	}
+	if s := &w.steps[n]; s.txns == nil {
+		if len(w.arena) == 0 {
+			w.arena = make([]txn, 256)
+		}
+		s.txns, w.arena = w.arena[:0:1], w.arena[1:]
 	}
 }
 
-// replayBatch accumulates one replay's traffic before merging into the
-// kernel totals. Blocks embed one and reuse it across flushes (reset), so
-// the replay hot path allocates nothing in steady state.
-type replayBatch struct {
-	pmWriteBytes, pmWriteTxns int64
-	pmReadBytes, pmReadTxns   int64
-	hostWriteBytes            int64
-	hostReadBytes             int64
-	hostTxns                  int64
-	hbmBytes                  int64
-	fences                    int64
-	serial                    []sim.Duration // dense, indexed by resource id
-	pmWrites                  sim.AccessStats
-}
-
-// reset clears the batch for reuse, keeping the serial slice's capacity.
-func (b *replayBatch) reset() {
-	serial := b.serial
-	for i := range serial {
-		serial[i] = 0
-	}
-	*b = replayBatch{serial: serial}
-}
-
-// addSerial accumulates serialized time for a resource id, growing the
-// dense slice on first sight of a new id.
-func (b *replayBatch) addSerial(id uint32, d sim.Duration) {
-	for int(id) >= len(b.serial) {
-		b.serial = append(b.serial, 0)
-	}
-	b.serial[id] += d
-}
-
-// replay drains the lane logs in lockstep order: step i pairs the i-th
-// pending operation of every lane, coalesces its memory accesses at 128B
-// granularity, and advances the warp clock by the step's cost.
-func (w *warp) replay(p *sim.Params, batch *replayBatch) {
-	for {
-		active := false
-		var stepDur sim.Duration
-		w.step = w.step[:0]
-		for lane := range w.lanes {
-			ops := w.lanes[lane]
-			if w.pos[lane] >= len(ops) {
-				continue
-			}
-			op := ops[w.pos[lane]]
-			w.pos[lane]++
-			active = true
-			switch op.kind {
-			case opCompute:
-				d := sim.Duration(float64(op.dur) * p.GPUComputeScale)
-				stepDur = sim.MaxDuration(stepDur, d)
-			case opSerial:
-				batch.addSerial(op.aux, op.dur)
-			case opFence:
-				batch.fences++
-				var c sim.Duration
-				if op.flag {
-					c = p.PCIeRTT + sim.Duration(op.aux)*p.PMDrainPerLine
-				} else {
-					c = p.LLCFenceRTT
-				}
-				stepDur = sim.MaxDuration(stepDur, c)
-			default:
-				w.step = append(w.step, op)
+// drain advances the warp clock through its steps in order and records each
+// step's PM write transactions — stores, then atomics, each in ascending
+// address order — into pmWrites. The steps are left empty for reuse.
+func (w *warp) drain(pmWrites *sim.AccessStats) {
+	for i := range w.steps {
+		s := &w.steps[i]
+		w.clock += s.dur
+		for _, t := range s.txns {
+			if k := t.key &^ (1<<blkBits - 1); k == pmStoreKey || k == pmAtomicKey {
+				pmWrites.Record(t.lo, int(t.end-t.lo))
 			}
 		}
-		if !active {
-			break
-		}
-		if len(w.step) > 0 {
-			stepDur = sim.MaxDuration(stepDur, w.coalesce(p, batch))
-		}
-		w.clock += stepDur
+		s.dur, s.txns = 0, s.txns[:0]
 	}
-	for lane := range w.lanes {
-		w.lanes[lane] = w.lanes[lane][:0]
-		w.pos[lane] = 0
+	w.steps = w.steps[:0]
+}
+
+// wait raises the step's latency to at least d.
+func (s *simtStep) wait(d sim.Duration) { s.dur = max(s.dur, d) }
+
+// coalesce folds one lane's host DRAM or PM access into the step and the
+// block's totals st. The access joins the step's transaction for its
+// (kind, space, block) or opens one, which counts a transaction and costs
+// its kind's latency.
+func (s *simtStep) coalesce(p *sim.Params, st *kernelStats, kind opKind, space memsys.Kind, addr uint64, size int) {
+	n := int64(size)
+	pm, write := space == memsys.KindPM, kind != opLoad
+	switch {
+	case pm && write:
+		st.pmWriteBytes += n
+	case pm:
+		st.pmReadBytes += n
+	case write:
+		st.hostWriteBytes += n
+	default:
+		st.hostReadBytes += n
+	}
+	if !s.join(txnKey(kind, space, addr/uint64(p.CoalesceBytes)), addr, addr+uint64(size)) {
+		return
+	}
+	switch {
+	case pm && write:
+		st.pmWriteTxns++
+	case pm:
+		st.pmReadTxns++
+	default:
+		st.hostTxns++
+	}
+	switch {
+	case kind == opAtomic:
+		s.wait(p.PCIeRTT)
+	case kind == opStore:
+		s.wait(p.GPUIssueCost)
+	case pm:
+		s.wait(p.GPULoadStall + p.PMReadLatency)
+	default:
+		s.wait(p.GPULoadStall)
 	}
 }
 
-// coalesce groups the current step's memory operations by access class and
-// 128-byte block, accounts the resulting transactions, and returns the
-// step's latency contribution.
-func (w *warp) coalesce(p *sim.Params, batch *replayBatch) sim.Duration {
-	cb := uint64(p.CoalesceBytes)
-	sortStepOps(w.step)
-	var stepDur sim.Duration
-	i := 0
-	for i < len(w.step) {
-		first := w.step[i]
-		blk := first.addr / cb
-		var bytes int64
-		end := first.addr
-		j := i
-		for ; j < len(w.step); j++ {
-			op := w.step[j]
-			if op.kind != first.kind || op.space != first.space || op.addr/cb != blk {
-				break
-			}
-			bytes += int64(op.size)
-			if e := op.addr + uint64(op.size); e > end {
-				end = e
-			}
-		}
-		span := int(end - first.addr)
-		switch first.kind {
-		case opStore:
-			switch first.space {
-			case memsys.KindPM:
-				batch.pmWriteTxns++
-				batch.pmWriteBytes += bytes
-				batch.pmWrites.Record(first.addr, span)
-				stepDur = sim.MaxDuration(stepDur, p.GPUIssueCost)
-			case memsys.KindDRAM:
-				batch.hostTxns++
-				batch.hostWriteBytes += bytes
-				stepDur = sim.MaxDuration(stepDur, p.GPUIssueCost)
-			default:
-				batch.hbmBytes += bytes
-				stepDur = sim.MaxDuration(stepDur, p.GPUIssueCost)
-			}
-		case opLoad:
-			switch first.space {
-			case memsys.KindPM:
-				batch.pmReadTxns++
-				batch.pmReadBytes += bytes
-				stepDur = sim.MaxDuration(stepDur, p.GPULoadStall+p.PMReadLatency)
-			case memsys.KindDRAM:
-				batch.hostTxns++
-				batch.hostReadBytes += bytes
-				stepDur = sim.MaxDuration(stepDur, p.GPULoadStall)
-			default:
-				batch.hbmBytes += bytes
-				stepDur = sim.MaxDuration(stepDur, p.HBMLatency)
-			}
-		case opAtomic:
-			switch first.space {
-			case memsys.KindPM:
-				batch.pmWriteTxns++
-				batch.pmWriteBytes += bytes
-				batch.pmWrites.Record(first.addr, span)
-				stepDur = sim.MaxDuration(stepDur, p.PCIeRTT)
-			case memsys.KindDRAM:
-				batch.hostTxns++
-				batch.hostWriteBytes += bytes
-				stepDur = sim.MaxDuration(stepDur, p.PCIeRTT)
-			default:
-				batch.hbmBytes += bytes
-				stepDur = sim.MaxDuration(stepDur, 4*p.HBMLatency)
-			}
-		}
-		i = j
+// join adds [lo, end) to the step's transaction with key k, opening it if
+// the step has none, and reports whether it opened one. Lanes mostly issue
+// ascending addresses, so the scan from the newest key usually stops at once.
+func (s *simtStep) join(k, lo, end uint64) bool {
+	i := len(s.txns)
+	for i > 0 && s.txns[i-1].key > k {
+		i--
 	}
-	return stepDur
-}
-
-// stepLess is the coalescer's canonical (kind, space, addr) ordering.
-func stepLess(a, b *laneOp) bool {
-	if a.kind != b.kind {
-		return a.kind < b.kind
+	if i > 0 && s.txns[i-1].key == k {
+		t := &s.txns[i-1]
+		t.lo, t.end = min(t.lo, lo), max(t.end, end)
+		return false
 	}
-	if a.space != b.space {
-		return a.space < b.space
-	}
-	return a.addr < b.addr
-}
-
-// sortStepOps orders a step's memory operations by (kind, space, addr).
-// Lane ops are generated near-sorted (ascending lane, usually ascending
-// address) and a step holds at most a warp's width of them, so insertion
-// sort beats sort.Slice here: linear on the common case and free of the
-// closure/interface overhead. The grouping pass only depends on the sorted
-// key order — equal-key ties carry identical (kind, space, addr) and
-// contribute the same bytes/span regardless of relative order — so the
-// outcome is identical to the previous sort.Slice.
-func sortStepOps(step []laneOp) {
-	for i := 1; i < len(step); i++ {
-		op := step[i]
-		j := i - 1
-		for j >= 0 && stepLess(&op, &step[j]) {
-			step[j+1] = step[j]
-			j--
-		}
-		step[j+1] = op
-	}
+	s.txns = slices.Insert(s.txns, i, txn{key: k, lo: lo, end: end})
+	return true
 }

@@ -431,16 +431,21 @@ func (s *Space) PersistLines(lines []uint64) {
 // PersistLinesSeq is PersistLines stamped with the canonical sequence of
 // the fence that issued it.
 func (s *Space) PersistLinesSeq(lines []uint64, seq uint64) {
-	if len(lines) == 0 {
-		return
-	}
-	local := make([]uint64, 0, len(lines))
+	s.PersistLinesSeqInto(make([]uint64, 0, len(lines)), lines, seq)
+}
+
+// PersistLinesSeqInto is PersistLinesSeq translating the lines in the
+// caller's scratch dst, which it returns for reuse: the LLC copies them.
+// dst may share lines' array: the translation never overtakes its input.
+func (s *Space) PersistLinesSeqInto(dst, lines []uint64, seq uint64) []uint64 {
+	dst = dst[:0]
 	for _, la := range lines {
 		if la >= PMBase {
-			local = append(local, la-PMBase)
+			dst = append(dst, la-PMBase)
 		}
 	}
-	s.LLC.FlushLines(local, seq)
+	s.LLC.FlushLines(dst, seq)
+	return dst
 }
 
 // PersistRange makes every line overlapping the virtual PM range durable.
