@@ -438,7 +438,13 @@ func (c *ServeCampaign) runOne(d serveDesc) ServeRunRecord {
 // plus the commits whose outcome stayed unknown. Keys sharing a store
 // slot with any other key — plain or transactional — are excluded, since
 // a colliding SET legally evicts the incumbent's value; a ledger left
-// with no key to check is itself a failure. On a clean network the txn
+// with no key to check is itself a failure. A count below the acked
+// commits is a lost update: some transaction read a stale value at its
+// snapshot and committed with no conflict. The class this caught is a
+// committed (before-reply) crash with epochs staged behind it: their
+// writes carry timestamps below the MVCC rebuild's, and a read that
+// ordered rows by ts instead of by application missed them
+// (serve.TestStagedWriteAfterCommittedCrash). On a clean network the txn
 // clients must also see no ERR verdict and leave no commit unresolved.
 // The transaction count is checked only when no client gave out (loadErr
 // nil), since a dead worker leaves its share unissued.

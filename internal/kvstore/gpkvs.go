@@ -279,7 +279,10 @@ func (g *GpKVS) RunUntilCrash(env *workloads.Env, abortAfterOps int64) error {
 func (g *GpKVS) Recover(env *workloads.Env) error {
 	start := env.Ctx.Timeline.Total()
 	if !g.store.TxFlagSet() {
-		return nil // crash outside a transaction: nothing to undo
+		// Nothing to undo, but a crash inside the last commit's log
+		// truncation may have left its entries behind.
+		g.store.Truncate(TxLog{Grid: g.blocks, Log: g.log})
+		return nil
 	}
 	log, err := env.Ctx.LogOpen("/pm/kvs.log")
 	if err != nil {

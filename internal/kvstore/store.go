@@ -48,10 +48,13 @@ func hashKey(key uint64, sets int) (set, way int) {
 // The undo-log contract ("Persistent Memory Transactions", PAPERS.md), kept
 // here for both callers: while the durable tx flag is set, every slot a
 // mutate kernel overwrote has its old pair in the undo log, made durable
-// before the new pair; the log is truncated only after the batch is
-// durable, and the flag is cleared last. Recovery with the flag set undoes
-// newest-first and removes an entry only after its rollback is durable, so
-// a crash inside recovery replays safely.
+// before the new pair. Clearing the flag is the one commit point: it comes
+// only after the batch is durable, and the logs are truncated after it.
+// Recovery with the flag set undoes newest-first and removes an entry only
+// after its rollback is durable, so a crash inside recovery replays
+// safely. Recovery with the flag clear truncates what a crash inside the
+// truncation left behind (Truncate), so the next rollback undoes only its
+// own batch.
 //
 // The caller owns the undo logs: it creates them, picks each mutate
 // launch's grid, and passes grid and log together as a TxLog (an HCL log's
@@ -293,8 +296,9 @@ func (s *Store) Commit(logs []TxLog, setKeys, delKeys []uint64) error {
 		if len(logs) == 0 {
 			return nil
 		}
-		// Truncate the logs from a kernel (only threads that logged write
-		// anything), then clear the flag (§5.2).
+		// Clear the flag, which commits (§5.2), then truncate the logs from
+		// a kernel (only threads that logged write anything).
+		s.SetTxFlag(false)
 		env.PersistKernelBegin()
 		for _, tl := range logs {
 			log := tl.Log
@@ -303,7 +307,6 @@ func (s *Store) Commit(logs []TxLog, setKeys, delKeys []uint64) error {
 			})
 		}
 		env.PersistKernelEnd()
-		s.SetTxFlag(false)
 	case env.Mode == workloads.GPMNDP:
 		// The kernel stored to PM directly, but the CPU must flush to
 		// guarantee durability — and it cannot know which slots the kernel
@@ -313,10 +316,10 @@ func (s *Store) Commit(logs []TxLog, setKeys, delKeys []uint64) error {
 		if len(logs) == 0 {
 			return nil
 		}
+		s.SetTxFlag(false)
 		for _, tl := range logs {
 			tl.Log.HostClearAll()
 		}
-		s.SetTxFlag(false)
 	default:
 		// CAP: no byte-grained path — the store ships to the CPU in
 		// pre-defined large sections covering the updated entries (§3.2:
@@ -331,6 +334,25 @@ func (s *Store) Commit(logs []TxLog, setKeys, delKeys []uint64) error {
 		}
 	}
 	return nil
+}
+
+// Truncate empties an undo log that a crash left behind a committed batch:
+// the flag clear commits, so a power failure inside the log truncation
+// after it leaves entries no recovery may undo. A restart that finds the
+// flag clear calls it before the next batch logs. It reads the tails on the
+// host and writes only when one is nonzero, so a clean restart costs no
+// simulated time.
+func (s *Store) Truncate(tl TxLog) {
+	n := tl.Grid * kvsTPB
+	if !tl.Log.IsHCL() {
+		n = tl.Log.Partitions()
+	}
+	for tid := 0; tid < n; tid++ {
+		if tl.Log.HostTail(tid) != 0 {
+			tl.Log.HostClearAll()
+			return
+		}
+	}
 }
 
 // kvsSection is the granularity at which CAP ships the store (16 KB

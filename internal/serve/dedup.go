@@ -30,8 +30,8 @@ package serve
 // and absorb its retry into a silent lost update.
 //
 // All state is volatile and owned by the batcher goroutine; durability
-// comes from the shard's PM table + journal, which commit and roll back
-// with the batch transaction itself. Holes survive resync untouched: they
+// comes from the shard's PM table and its redo record, which commit with
+// the batch transaction itself. Holes survive resync untouched: they
 // describe what the PM marks legitimately do not cover.
 type dedupState struct {
 	cap     int

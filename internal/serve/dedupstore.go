@@ -25,135 +25,112 @@ func (id ReqID) String() string { return fmt.Sprintf("@%d.%d", id.CID, id.Seq) }
 // restart-spanning dedup protection degrades to the volatile window — so
 // deployments wanting full exactly-once across restarts keep concurrent
 // identified clients under dedupSlots.
+//
+// The table shares its file with a redo record: a count word, then the
+// (cid, seq) advances of the last logging batch that wrote the table. The
+// store's tx flag guards the record: it is written while the flag is set
+// and trusted only once the flag is clear, so the flag clear commits the
+// store and the marks together.
 const (
 	dedupSlots      = 256
 	dedupEntryBytes = 16
 	dedupTableBytes = dedupSlots * dedupEntryBytes
-	jnlEntryBytes   = 24 // table slot, old cid, old seq
 )
 
-// dedupJnlBytes sizes the undo journal: one entry per possible advance in a
-// maximally-filled epoch (write squashing lets logical mutations outnumber
-// kernel slots, up to mutCap), count word last.
-func dedupJnlBytes(maxBatch int) int64 {
-	return int64(mutCap(maxBatch))*jnlEntryBytes + 64
+// dedupFileBytes sizes the dedup file: the table, then a record with room
+// for one advance per possibly-distinct client of a maximally-filled epoch
+// (write squashing lets logical mutations outnumber kernel slots, up to
+// mutCap).
+func dedupFileBytes(maxBatch int) int64 {
+	return dedupTableBytes + 8 + int64(mutCap(maxBatch))*dedupEntryBytes
 }
 
-// jnlCountOff is the journal's count-word offset (past the entry region).
-func (s *Shard) jnlCountOff() uint64 { return uint64(mutCap(s.maxBatch)) * jnlEntryBytes }
-
-// dedupJournal makes the undo journal describe the batch's dedup advances:
-// zero the count (so a torn journal is empty, not stale), persist the old
-// table values, then persist the count last. Called BEFORE the tx flag is
-// set — recovery only trusts the journal while the flag is up, and by then
-// the journal is complete by construction. A batch with no advances still
-// owes a journal of count 0, or recovery would replay the last identified
-// batch's entries and roll back marks that batch committed; the zero is
-// written only when the durable count is nonzero (jnlDirty), so
-// unidentified-only traffic never touches the journal.
-func (s *Shard) dedupJournal(b *Batch) {
-	n := len(b.DedupCID)
-	if s.noDedupPersist || (n == 0 && !s.jnlDirty) {
-		return
+// dedupAdvances returns, as flat (cid, seq) pairs, the advances of b that
+// raise a durable mark. Only a mutation-bearing batch persists any: a GET
+// above the durable mark simply re-executes on retry.
+func (s *Shard) dedupAdvances(b *Batch) []uint64 {
+	if s.noDedupPersist || b.Mutations() == 0 {
+		return nil
 	}
-	jnl := s.jnlFile.Mmap()
-	countAddr := jnl + s.jnlCountOff()
-	s.env.Ctx.RunCPU("dedup-journal", 1, func(t *cpusim.Thread) {
-		t.WriteU64(countAddr, 0)
-		t.PersistRange(countAddr, 8)
-		if n == 0 {
-			return
+	var adv []uint64
+	for i, cid := range b.DedupCID {
+		slot := cid % dedupSlots
+		if s.dedupShadow[slot*2] == cid && s.dedupShadow[slot*2+1] >= b.DedupSeq[i] {
+			continue // never move a client's mark backwards
 		}
-		for i, cid := range b.DedupCID {
-			slot := cid % dedupSlots
-			off := jnl + uint64(i)*jnlEntryBytes
-			t.WriteU64(off, slot)
-			t.WriteU64(off+8, s.dedupShadow[slot*2])
-			t.WriteU64(off+16, s.dedupShadow[slot*2+1])
-		}
-		t.PersistRange(jnl, int64(n*jnlEntryBytes))
-		t.WriteU64(countAddr, uint64(n))
-		t.PersistRange(countAddr, 8)
-	})
-	s.jnlDirty = n > 0
+		adv = append(adv, cid, b.DedupSeq[i])
+	}
+	return adv
 }
 
-// dedupTableWrite persists the batch's dedup advances into the PM table.
-// Under logging modes it runs inside the transaction window (after the
-// mutate kernels, before the log clear), so the journal rolls it back if
-// the batch never commits.
-func (s *Shard) dedupTableWrite(b *Batch) {
-	if s.noDedupPersist || len(b.DedupCID) == 0 {
+// dedupRecord writes advances as the redo record, count first, and
+// persists it once. It runs while the tx flag is set, so the record is
+// durable before the flag clear that makes it trusted.
+func (s *Shard) dedupRecord(adv []uint64) {
+	rec := s.dedupFile.Mmap() + dedupTableBytes
+	s.env.Ctx.RunCPU("dedup-record", 1, func(t *cpusim.Thread) {
+		t.WriteU64(rec, uint64(len(adv)/2))
+		for i, v := range adv {
+			t.WriteU64(rec+8+uint64(i)*8, v)
+		}
+		t.PersistRange(rec, int64(8+8*len(adv)))
+	})
+}
+
+// dedupTableWrite persists advances into the PM table and its host shadow.
+// A batch writes its own advances after its commit; recovery replays the
+// record through it.
+func (s *Shard) dedupTableWrite(adv []uint64) {
+	if len(adv) == 0 {
 		return
 	}
 	table := s.dedupFile.Mmap()
 	s.env.Ctx.RunCPU("dedup-table", 1, func(t *cpusim.Thread) {
-		for i, cid := range b.DedupCID {
-			seq := b.DedupSeq[i]
-			slot := cid % dedupSlots
-			if s.dedupShadow[slot*2] == cid && s.dedupShadow[slot*2+1] >= seq {
-				continue // defensive: never move a client's mark backwards
-			}
-			off := table + uint64(slot)*dedupEntryBytes
-			t.WriteU64(off, cid)
-			t.WriteU64(off+8, seq)
+		for i := 0; i < len(adv); i += 2 {
+			off := table + adv[i]%dedupSlots*dedupEntryBytes
+			t.WriteU64(off, adv[i])
+			t.WriteU64(off+8, adv[i+1])
 			t.PersistRange(off, dedupEntryBytes)
 		}
 	})
+	for i := 0; i < len(adv); i += 2 {
+		slot := adv[i] % dedupSlots
+		s.dedupShadow[slot*2], s.dedupShadow[slot*2+1] = adv[i], adv[i+1]
+	}
 }
 
-// dedupShadowAdvance folds a COMMITTED batch's advances into the host-side
-// shadow (the volatile view admission resyncs from). Runs even with PM
-// persistence disabled — the negative control's window still works within
-// one server lifetime; only the restart round-trip is broken.
-func (s *Shard) dedupShadowAdvance(b *Batch) {
-	for i, cid := range b.DedupCID {
-		seq := b.DedupSeq[i]
-		slot := cid % dedupSlots
-		if s.dedupShadow[slot*2] == cid && s.dedupShadow[slot*2+1] >= seq {
-			continue
+// dedupRecover settles the PM dedup table at restart and reloads the host
+// shadow from it — the proof that high-water marks really round-tripped
+// through persistent memory. With the tx flag set (txSet) the record may
+// belong to the batch being rolled back, so its count is zeroed, durably,
+// before the caller clears the flag. With the flag clear it belongs to the
+// last committed batch, whose table write the crash may have cut short: if
+// the table disagrees with it, it is replayed whole, in order. The replay
+// is idempotent, since any later table write would have replaced the
+// record first.
+func (s *Shard) dedupRecover(txSet bool) {
+	snap := s.env.Ctx.Space.SnapshotPersistent(s.dedupFile.Mmap(), int(dedupFileBytes(s.maxBatch)))
+	for i := range s.dedupShadow {
+		s.dedupShadow[i] = binary.LittleEndian.Uint64(snap[i*8:])
+	}
+	rec := snap[dedupTableBytes:]
+	n := binary.LittleEndian.Uint64(rec)
+	switch {
+	case n == 0:
+	case txSet:
+		s.dedupRecord(nil)
+	default:
+		adv := make([]uint64, 2*n)
+		for i := range adv {
+			adv[i] = binary.LittleEndian.Uint64(rec[8+i*8:])
 		}
-		s.dedupShadow[slot*2] = cid
-		s.dedupShadow[slot*2+1] = seq
-	}
-}
-
-// dedupJournalRestore rolls the PM dedup table back to its pre-transaction
-// image. Only called during recovery with the tx flag set; idempotent, so
-// nested re-crashes during recovery replay it safely.
-func (s *Shard) dedupJournalRestore() {
-	jnlSnap := s.env.Ctx.Space.SnapshotPersistent(s.jnlFile.Mmap(), int(dedupJnlBytes(s.maxBatch)))
-	n := binary.LittleEndian.Uint64(jnlSnap[s.jnlCountOff():])
-	if n == 0 || n > uint64(mutCap(s.maxBatch)) {
-		return // empty (or implausible ⇒ torn) journal: nothing recorded
-	}
-	table := s.dedupFile.Mmap()
-	s.env.Ctx.RunCPU("dedup-restore", 1, func(t *cpusim.Thread) {
-		for i := uint64(0); i < n; i++ {
-			e := jnlSnap[i*jnlEntryBytes:]
-			slot := binary.LittleEndian.Uint64(e)
-			if slot >= dedupSlots {
-				continue // torn entry guarded by the count, but stay defensive
+		for i := 0; i < len(adv); i += 2 {
+			if slot := adv[i] % dedupSlots; s.dedupShadow[slot*2] != adv[i] || s.dedupShadow[slot*2+1] != adv[i+1] {
+				s.dedupTableWrite(adv)
+				break
 			}
-			off := table + slot*dedupEntryBytes
-			t.WriteU64(off, binary.LittleEndian.Uint64(e[8:]))
-			t.WriteU64(off+8, binary.LittleEndian.Uint64(e[16:]))
-			t.PersistRange(off, dedupEntryBytes)
 		}
-	})
-}
-
-// dedupShadowReload rebuilds the host shadow from the durable PM table —
-// the restart-time proof that high-water marks really round-tripped
-// through persistent memory — and jnlDirty from the durable journal count.
-func (s *Shard) dedupShadowReload() {
-	snap := s.env.Ctx.Space.SnapshotPersistent(s.dedupFile.Mmap(), dedupTableBytes)
-	for i := 0; i < dedupSlots; i++ {
-		s.dedupShadow[i*2] = binary.LittleEndian.Uint64(snap[i*dedupEntryBytes:])
-		s.dedupShadow[i*2+1] = binary.LittleEndian.Uint64(snap[i*dedupEntryBytes+8:])
 	}
-	count := s.env.Ctx.Space.SnapshotPersistent(s.jnlFile.Mmap()+s.jnlCountOff(), 8)
-	s.jnlDirty = binary.LittleEndian.Uint64(count) != 0
 }
 
 // DedupSnapshot returns the committed per-client high-water marks (cid ->

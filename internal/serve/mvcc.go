@@ -17,21 +17,33 @@ type mvccRow struct {
 }
 
 // mvccState is a shard's one committed image: per store slot, its committed
-// rows in ascending ts, the newest being the slot's committed occupant (the
-// pair the durable store must hold). Rows are fed by the epoch
-// group-commits and answer snapshot reads (GET@ts), conflict checks (latest
-// commit ts of a key), the slot base images write-squashing folds over, hot
-// GETs, and Verify, without touching the kernel. Rows of one slot arrive in
-// ts order (admission allocates the ts, and a slot's later write never goes
-// to an earlier epoch), so a commit appends, and it trims the slot's
-// history below the read floor as it goes.
+// rows in the order they were applied, the last being the slot's committed
+// occupant (the pair the durable store must hold). Rows are fed by the
+// epoch group-commits and answer snapshot reads (GET@ts), conflict checks
+// (latest commit ts of a key), the slot base images write-squashing folds
+// over, hot GETs, and Verify, without touching the kernel. A commit
+// appends, and it trims the slot's history below the read floor as it
+// goes.
+//
+// The rule is positional: the newest row is the last one appended, and a
+// read takes the last row at or below its snapshot. Rows of one slot are
+// applied in ts order (admission allocates the ts, and a slot's later write
+// never goes to an earlier epoch) except across a committed crash: reset
+// rebuilds every slot at rts, the oracle's newest ts, while epochs staged
+// behind the crashed one still carry lower timestamps and append after the
+// rebuilt row. The newest applied write must still win, and it does: the
+// floor rises to rts, and the oracle's stable floor stays below a staged
+// epoch's timestamps until it has applied, so no snapshot at or above rts
+// exists before then, and every readable one sees the staged rows. A
+// snapshot taken while they are still staged is below the floor and
+// answers "snapshot too old" (TestStagedWriteAfterCommittedCrash).
 //
 // Guarded by its own mutex: the applier folds each committed batch in at
 // group-commit while the batcher reads slot images and connection
 // goroutines serve GET@ts.
 type mvccState struct {
 	mu   sync.Mutex
-	rows [][]mvccRow // slot -> committed rows, ascending ts
+	rows [][]mvccRow // slot -> committed rows, in applied order
 	// floorTS is the oldest readable snapshot: rows below the newest one at
 	// or under it may have been trimmed (or predate a crash-restart
 	// rebuild), so a read at ts < floorTS answers "snapshot too old"
@@ -215,8 +227,8 @@ func (s *Shard) MVCCLatest(key uint64) (val uint64, found bool) {
 }
 
 // oracleWrite persists the batch's oracle reservation (the timestamp
-// high-water mark plus slack) into PM beside the dedup table. The value is
-// monotone, so it is deliberately NOT journaled: rolling it back could
+// high-water mark plus slack) into PM. The value is monotone, so it is
+// deliberately NOT undo-logged: rolling it back could
 // expose an already-handed-out timestamp to reuse after recovery, which is
 // exactly the regression the reservation exists to prevent. A crash that
 // rolls the batch back leaves the reservation advanced — recovery resumes
@@ -245,7 +257,7 @@ func (s *Shard) oraShadowReload() {
 func (s *Shard) RecoveredOracleHWM() uint64 { return s.oraShadow }
 
 // mutCap bounds the logical mutations one epoch may carry: squashing packs
-// many client writes onto few kernel slots, but the dedup journal (sized at
-// shard build time) must still fit one advance per possibly-distinct
-// client.
+// many client writes onto few kernel slots, but the dedup redo record
+// (sized at shard build time) must still fit one advance per
+// possibly-distinct client.
 func mutCap(maxBatch int) int { return 4 * maxBatch }

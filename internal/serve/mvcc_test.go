@@ -2,31 +2,35 @@ package serve
 
 import (
 	"fmt"
-	"sort"
 	"testing"
 	"time"
 
 	"github.com/gpm-sim/gpm/internal/workloads"
 )
 
-// refMVCC is the per-key version-chain model the slot rows replaced, kept
-// as the reference mvccState must agree with: per key, {ts, val} versions
-// in ascending ts (val 0 = deleted, or evicted by a colliding SET at the
-// same ts), one slot image beside them, and a GC that trims every chain to
-// its newest version at or below the watermark.
+// refMVCC is a per-key version-chain model written from the intended rule
+// — the newest applied write wins — as the reference mvccState must agree
+// with: per key, {ts, val} versions in the order they were applied (val 0
+// = deleted, or evicted by a colliding SET at the same ts), one slot image
+// beside them, and a GC that trims every chain to its newest version at or
+// below the watermark. A read takes the newest version at or below its
+// snapshot, so a write applied after a reset at a higher ts (an epoch
+// staged behind a committed crash) is still the one a snapshot above both
+// sees.
 type refMVCC struct {
-	chains       map[uint64][][2]uint64 // key -> {ts, val}
+	chains       map[uint64][][2]uint64 // key -> {ts, val}, applied order
 	slots        [][2]uint64            // slot -> {key, val}
 	floor, maxTS uint64
 }
 
+// insert applies one version; a second write at the ts of the key's newest
+// version (a multi-write transaction) replaces it.
 func (r *refMVCC) insert(key, ts, val uint64) {
 	ch := r.chains[key]
-	i := sort.Search(len(ch), func(i int) bool { return ch[i][0] >= ts })
-	if i < len(ch) && ch[i][0] == ts {
-		ch[i][1] = val
+	if n := len(ch); n > 0 && ch[n-1][0] == ts {
+		ch[n-1][1] = val
 	} else {
-		ch = append(ch[:i], append([][2]uint64{{ts, val}}, ch[i:]...)...)
+		ch = append(ch, [2]uint64{ts, val})
 	}
 	r.chains[key] = ch
 	r.maxTS = max(r.maxTS, ts)
@@ -101,7 +105,9 @@ func (r *refMVCC) reset(rts uint64) {
 
 // FuzzMVCCHistory drives a 2-slot mvccState and the chain model through the
 // same steps — SETs, DELs of present and absent keys, multi-write rows at
-// one ts, legacy batches, floor raises and crash-restart resets — over four
+// one ts, legacy batches, floor raises, and crash-restart resets with the
+// writes of epochs staged behind the crash committing below the reset ts
+// after it — over four
 // keys that collide two to a slot, and compares them after every step:
 // every key's read at every ts from just below the floor to just past
 // maxTS, its conflict probe, and both slot images. The probe is compared as max(latestTS, floor): the two
@@ -119,6 +125,7 @@ func FuzzMVCCHistory(f *testing.F) {
 		{3, 9, 3, 51, 4, 1, 3, 4},                                 // legacy: SET 2+1; SET 4, DEL 3; floor; DEL 2
 		{0, 0, 5, 0, 3, 7, 5, 0, 1, 0, 0, 5, 0, 0, 2, 1},          // SET 1, SET 4; reset; SET 2, DEL 2, SET 3
 		{12, 0, 5, 12, 2, 6, 4, 0, 12, 1, 3},                      // ts gaps: reads between rows
+		{0, 0, 5, 0, 2, 7, 41, 0, 9, 4, 1, 0, 1, 3},               // SET 1, SET 3; reset with SET 1, DEL 1 staged below it; SET 2
 	} {
 		f.Add(seed)
 	}
@@ -176,10 +183,16 @@ func FuzzMVCCHistory(f *testing.F) {
 				wm := ref.floor + next()%(ref.maxTS+2-ref.floor)
 				m.raiseFloor(wm)
 				ref.gc(wm)
-			case 5:
-				rts := nextTS(op >> 3)
+			case 5: // a crash-restart reset at rts; op>>4&3 writes staged behind
+				// the crash hold timestamps below rts and commit after it
+				staged := (op >> 4) & 3
+				lo := nextTS(0)
+				rts := lo + staged + (op>>3)&1
 				m.reset(rts)
 				ref.reset(rts)
+				for ts := lo; ts < lo+staged; ts++ {
+					write(ts)
+				}
 			}
 			if m.maxTS != ref.maxTS || m.floorTS != ref.floor {
 				t.Fatalf("step %d: maxTS/floor = %d/%d, want %d/%d", step, m.maxTS, m.floorTS, ref.maxTS, ref.floor)

@@ -19,11 +19,11 @@ const oraSlack = 1 << 16
 // block on one either.
 //
 // Durability piggybacks on the shards: each epoch carries the oracle's
-// reservation (counter + oraSlack) into persistent memory next to the
-// dedup high-water mark, inside the same commit window. The value is
-// monotone, so unlike the dedup table it needs no undo journal — a torn
-// or rolled-back write leaves an older reservation, which recovery covers
-// with the slack. A restarted oracle resumes past every timestamp it ever
+// reservation (counter + oraSlack) into persistent memory inside its
+// commit window. The value is monotone, so unlike the dedup marks it needs
+// no log and is trusted whatever the tx flag says — a torn or rolled-back
+// write leaves an older reservation, which recovery covers with the
+// slack. A restarted oracle resumes past every timestamp it ever
 // exposed, so versions and snapshots never regress across crash-restarts.
 type tsOracle struct {
 	mu   sync.Mutex

@@ -587,7 +587,7 @@ func (w *shardWorker) epochAt(seq uint64) *epochBatch {
 }
 
 // fitsCID reports whether an identified request can ride an epoch without
-// overflowing the dedup journal (one advance per distinct client).
+// overflowing the dedup redo record (one advance per distinct client).
 func (w *shardWorker) fitsCID(e *epochBatch, rid ReqID) bool {
 	if rid.Zero() || e.clients[rid.CID] {
 		return true
@@ -978,7 +978,7 @@ func (w *shardWorker) sealKernel(eb *epochBatch) {
 
 // sealAdvances flattens the epoch's per-client high-water-mark advances
 // (max seq per cid across its identified riders) into the batch, sorted by
-// cid so the PM journal and table writes are deterministic.
+// cid so the PM record and table writes are deterministic.
 func (w *shardWorker) sealAdvances(eb *epochBatch) {
 	if len(eb.clients) == 0 {
 		return

@@ -45,9 +45,9 @@ type Batch struct {
 
 	// DedupCID/DedupSeq are the batch's dedup advances: for every client
 	// with identified requests riding this batch, the highest sequence
-	// number aboard. They are persisted into the PM dedup table inside the
-	// batch's transaction window, so a client's committed high-water mark
-	// survives exactly the crashes its acked mutations survive.
+	// number aboard. A mutation-bearing batch commits them with its store
+	// transaction, so a client's committed high-water mark survives exactly
+	// the crashes its acked mutations survive.
 	DedupCID, DedupSeq []uint64
 
 	// VerKeys/VerVals/VerDel/VerTS/VerIDs carry EVERY logical mutation the
@@ -64,7 +64,7 @@ type Batch struct {
 	VerIDs           []ReqID
 
 	// OracleHWM, when nonzero, is the timestamp-oracle reservation to
-	// persist with this batch's transaction (monotone, never journaled).
+	// persist with this batch's transaction (monotone, never logged).
 	OracleHWM uint64
 
 	// LogicalOps, when nonzero, is the client-operation count this batch
@@ -110,9 +110,8 @@ type Shard struct {
 	maxBatch int
 
 	store     *kvstore.Store
-	dedupFile *fsim.File // PM dedup table: per-client committed high-water marks
-	jnlFile   *fsim.File // dedup undo journal (count-last, valid only while tx set)
-	oraFile   *fsim.File // MVCC timestamp-oracle reservation (monotone, unjournaled)
+	dedupFile *fsim.File // PM dedup table (per-client committed marks) and its redo record
+	oraFile   *fsim.File // MVCC timestamp-oracle reservation (monotone, unlogged)
 
 	// Launch geometries, one per power-of-two block count up to the full
 	// grid (last), each with its own HCL log under logging modes. The HCL
@@ -130,7 +129,6 @@ type Shard struct {
 	dedupShadow    []uint64
 	tally          map[ReqID]int
 	noDedupPersist bool // negative control: dedup state never reaches PM
-	jnlDirty       bool // durable dedup-journal count may be nonzero
 
 	// oraShadow mirrors the durable oracle reservation; mvcc is the
 	// committed image: it reflects exactly the batches that were
@@ -229,7 +227,7 @@ func NewShard(id int, cfg ShardConfig) (*Shard, error) {
 		CAPThreads: capThreads,
 		HBMSize:    store + staging + 1<<20,
 		DRAMSize:   store + 1<<20, // CAP bounce buffers
-		PMSize:     store + logSize + dedupTableBytes + dedupJnlBytes(cfg.MaxBatch) + 64 + 1<<20,
+		PMSize:     store + logSize + dedupFileBytes(cfg.MaxBatch) + 64 + 1<<20,
 	}
 	s.env = workloads.NewEnv(cfg.Mode, wcfg)
 
@@ -237,10 +235,7 @@ func NewShard(id int, cfg ShardConfig) (*Shard, error) {
 	if s.store, err = kvstore.NewStore(s.env, cfg.Sets, cfg.MaxBatch); err != nil {
 		return nil, err
 	}
-	if s.dedupFile, err = s.env.Ctx.FS.Create("/pm/kvs.dedup", dedupTableBytes, 0); err != nil {
-		return nil, err
-	}
-	if s.jnlFile, err = s.env.Ctx.FS.Create("/pm/kvs.dedup.jnl", dedupJnlBytes(cfg.MaxBatch), 0); err != nil {
+	if s.dedupFile, err = s.env.Ctx.FS.Create("/pm/kvs.dedup", dedupFileBytes(cfg.MaxBatch), 0); err != nil {
 		return nil, err
 	}
 	if s.oraFile, err = s.env.Ctx.FS.Create("/pm/kvs.oracle", 64, 0); err != nil {
@@ -252,8 +247,7 @@ func NewShard(id int, cfg ShardConfig) (*Shard, error) {
 
 	// The empty dedup state is durable from the start, like the store.
 	sp := s.env.Ctx.Space
-	sp.PersistRange(s.dedupFile.Mmap(), int(dedupTableBytes))
-	sp.PersistRange(s.jnlFile.Mmap(), int(dedupJnlBytes(cfg.MaxBatch)))
+	sp.PersistRange(s.dedupFile.Mmap(), int(dedupFileBytes(cfg.MaxBatch)))
 	sp.PersistRange(s.oraFile.Mmap(), 64)
 
 	if kvstore.Logged(s.mode) {
@@ -283,8 +277,11 @@ func (s *Shard) launchFor(nOps int) kvstore.TxLog {
 }
 
 // commitLogs returns the distinct launches b's mutate kernels used — the
-// logs its commit must truncate.
+// logs its commit must truncate (none when the mode does not log).
 func (s *Shard) commitLogs(b *Batch) []kvstore.TxLog {
+	if !kvstore.Logged(s.mode) {
+		return nil
+	}
 	var logs []kvstore.TxLog
 	for _, n := range []int{len(b.SetKeys), len(b.DelKeys)} {
 		if l := s.launchFor(n); n > 0 && (len(logs) == 0 || logs[0].Grid != l.Grid) {
@@ -422,16 +419,15 @@ func (s *Shard) apply(b *Batch, cp *ShardCrashPlan) (*BatchResult, error) {
 	s.store.Stage(b.SetKeys, b.SetVals, b.DelKeys, b.GetKeys)
 	ctx.SpanEnd(telemetry.TrackPCIe, "serve-stage", "serve", spStage)
 	logging := kvstore.Logged(s.mode) && b.Mutations() > 0
+	adv := s.dedupAdvances(b)
 	wall1 := time.Now()
 
 	spKernel := ctx.SpanStart()
 	if logging {
-		// The dedup journal is written while the tx flag is still CLEAR, so
-		// a crash landing before the flag never replays a stale journal;
-		// once the flag is set, journal + HCL logs roll back the dedup table
-		// and the store as one transaction.
-		s.dedupJournal(b)
 		s.store.SetTxFlag(true)
+		if len(adv) > 0 {
+			s.dedupRecord(adv)
+		}
 	}
 	if cp != nil && cp.Point == CrashBeforeKernel {
 		return nil, s.crashNow(cp, atRisk, "staged and armed, before mutate kernel")
@@ -460,37 +456,23 @@ func (s *Shard) apply(b *Batch, cp *ShardCrashPlan) (*BatchResult, error) {
 	s.store.Get(len(b.GetKeys))
 	s.env.PersistKernelEnd()
 	ctx.SpanEnd(telemetry.TrackKernel, "serve-kernel", "serve", spKernel)
-	if logging {
-		s.dedupTableWrite(b)
-		s.oracleWrite(b)
-	}
+	s.oracleWrite(b)
 	if cp != nil && cp.Point == CrashBeforeCommit {
-		return nil, s.crashNow(cp, atRisk, "mutations persisted, before log clear")
+		return nil, s.crashNow(cp, atRisk, "mutations persisted, before the flag clear")
 	}
 	wall2 := time.Now()
 
 	spCommit := ctx.SpanStart()
 	s.store.HostServe(n)
-	var logs []kvstore.TxLog
-	if logging {
-		logs = s.commitLogs(b)
-	}
-	if err := s.store.Commit(logs, b.SetKeys, b.DelKeys); err != nil {
+	if err := s.store.Commit(s.commitLogs(b), b.SetKeys, b.DelKeys); err != nil {
 		return nil, err
 	}
-	if !logging {
-		// Read-only batches and non-logging modes advance the dedup table
-		// outside any transaction: replaying a GET is harmless, and the
-		// non-logging modes have no crash injection to survive.
-		s.dedupTableWrite(b)
-		s.oracleWrite(b)
-	}
+	s.dedupTableWrite(adv)
 	ctx.SpanEnd(telemetry.TrackPersist, "serve-persist", "serve", spCommit)
 	wall3 := time.Now()
 
 	out := s.store.GetResults(len(b.GetKeys))
 	s.commitImage(b)
-	s.dedupShadowAdvance(b)
 	if b.LogicalOps > 0 {
 		s.ops += int64(b.LogicalOps)
 	} else {
@@ -523,7 +505,7 @@ const (
 	// recovery must undo the partial batch from the HCL log.
 	CrashMidKernel
 	// CrashBeforeCommit dies after the mutate kernel fully ran and
-	// persisted, before the log clear closes the transaction: recovery
+	// persisted, before the flag clear commits the transaction: recovery
 	// must undo the complete (but uncommitted) batch.
 	CrashBeforeCommit
 	// CrashBeforeReply dies after the batch committed durably but before
@@ -589,8 +571,9 @@ func (s *Shard) CrashAt(b *Batch, p CrashPoint, abortAfterOps int64) error {
 }
 
 // Restart brings a crashed shard back: if the durable transaction flag is
-// set it runs the Fig 6b recovery kernel to undo the partial batch, then
-// reloads the HBM mirror from the durable store (the restart-time data
+// set it runs the Fig 6b recovery kernel to undo the partial batch, else it
+// drops the undo entries a crash inside the last commit left behind. Then
+// it reloads the HBM mirror from the durable store (the restart-time data
 // load). It returns the simulated restore time.
 func (s *Shard) Restart() (sim.Duration, error) { return s.RestartWithRecrash(0, nil, 0) }
 
@@ -632,13 +615,19 @@ func (s *Shard) RestartWithRecrash(depth int, model pmem.FaultModel, fseed uint6
 			return 0, err
 		}
 		replayed, undone = g, u
-		s.dedupJournalRestore()
+		s.dedupRecover(true)
 		s.store.SetTxFlag(false)
+	} else {
+		for _, g := range s.geoms {
+			if g.Log != nil {
+				s.store.Truncate(g)
+			}
+		}
+		s.dedupRecover(false)
 	}
 	// Reload the working mirror from the durable store, the restart cost
-	// every mode pays; the dedup shadow reloads the same way.
+	// every mode pays.
 	s.store.ReloadMirror()
-	s.dedupShadowReload()
 	s.oraShadowReload()
 	s.down = false
 	s.restarts.Add(1)

@@ -214,6 +214,86 @@ func TestShardCrashAtEveryPoint(t *testing.T) {
 	}
 }
 
+// Clearing the tx flag commits a batch; the log truncation after it is
+// cleanup. A power failure at any device op of Store.Commit must therefore
+// recover to the whole batch, never a torn mix of old and new slots. The
+// crash is cut by the device's abort check with power-fail semantics, so
+// nothing issued after the failing op persists. A batch rolled back after
+// that restart must undo only itself: Restart drops the undo entries the
+// cut truncation left behind.
+func TestShardCrashInsideCommit(t *testing.T) {
+	base := &Batch{SetKeys: []uint64{1, 2, 3, 4}, SetVals: []uint64{10, 20, 30, 40}}
+	crashed := func() *Batch {
+		return &Batch{SetKeys: []uint64{1, 2, 50}, SetVals: []uint64{111, 222, 500}, DelKeys: []uint64{3}}
+	}
+	never := func(int64) bool { return false }
+	for _, mode := range []workloads.Mode{workloads.GPM, workloads.GPMeADR} {
+		t.Run(mode.String(), func(t *testing.T) {
+			// The last device op of the batch: before its commit
+			// (CrashBeforeCommit) and after it (a plain Apply).
+			opsThrough := func(run func(*Shard) error) int64 {
+				sh := quickShard(t, mode)
+				if _, err := sh.Apply(base); err != nil {
+					t.Fatal(err)
+				}
+				sh.env.Ctx.Dev.SetAbortCheck(never)
+				if err := run(sh); err != nil {
+					t.Fatal(err)
+				}
+				return sh.env.Ctx.Dev.ObservedOps()
+			}
+			first := opsThrough(func(sh *Shard) error { return sh.CrashAt(crashed(), CrashBeforeCommit, 0) }) + 1
+			last := opsThrough(func(sh *Shard) error { _, err := sh.Apply(crashed()); return err })
+			if last < first {
+				t.Fatalf("commit ran no device ops (%d..%d)", first, last)
+			}
+			torn, rolledBack := []int64{}, 0
+			for k := first; k <= last+1; k++ {
+				sh := quickShard(t, mode)
+				if _, err := sh.Apply(base); err != nil {
+					t.Fatal(err)
+				}
+				pre := sh.mvcc.image()
+				dev := sh.env.Ctx.Dev
+				dev.SetAbortCheck(func(op int64) bool { return op >= k })
+				dev.SetPowerFailOnAbort(true)
+				_, err := sh.Apply(crashed())
+				dev.SetPowerFailOnAbort(false)
+				dev.SetAbortCheck(nil)
+				if err != nil {
+					t.Fatalf("op %d: %v", k, err)
+				}
+				sh.env.Ctx.Crash()
+				sh.down = true
+				if _, err := sh.Restart(); err != nil {
+					t.Fatalf("op %d: Restart: %v", k, err)
+				}
+				if err := sh.Verify(); err != nil {
+					if sh.store.CheckDurable(pre) == nil {
+						rolledBack++
+					} else {
+						torn = append(torn, k)
+					}
+					continue
+				}
+				if err := sh.CrashAt(&Batch{SetKeys: []uint64{2, 60}, SetVals: []uint64{7, 7}}, CrashBeforeCommit, 0); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := sh.Restart(); err != nil {
+					t.Fatalf("op %d: second Restart: %v", k, err)
+				}
+				if err := sh.Verify(); err != nil {
+					t.Fatalf("rollback after a power failure at commit op %d undid the committed batch: %v", k, err)
+				}
+			}
+			if len(torn) > 0 || rolledBack > 0 {
+				t.Errorf("power failures at commit ops %d..%d: %d left the batch torn (ops %v), %d rolled it back; want it whole",
+					first, last, len(torn), torn, rolledBack)
+			}
+		})
+	}
+}
+
 // CrashAt must refuse non-GPM modes, double crashes, and mutation-free
 // batches — misuse of the injector should never masquerade as coverage.
 func TestShardCrashAtRejections(t *testing.T) {
@@ -233,10 +313,9 @@ func TestShardCrashAtRejections(t *testing.T) {
 	}
 }
 
-// Recovery only trusts a dedup journal written by the transaction it rolls
-// back: after an identified batch commits a client's high-water mark, a
-// crashed batch with no request IDs must roll back to that mark, not
-// replay the committed batch's journal and erase it.
+// Recovery never applies a dedup record across a rollback: after an
+// identified batch commits a client's high-water mark, a crashed batch
+// with no request IDs must roll back to that mark and keep it.
 func TestUnidentifiedCrashKeepsCommittedMarks(t *testing.T) {
 	sh := quickShard(t, workloads.GPM)
 	if _, err := sh.Apply(&Batch{

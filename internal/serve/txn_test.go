@@ -566,3 +566,94 @@ func TestRunTxnLoadLedger(t *testing.T) {
 		})
 	}
 }
+
+// A committed (before-reply) crash rebuilds the slot rows at rts, the
+// oracle's newest timestamp, while an epoch staged behind the crashed one
+// still carries writes at lower timestamps. Those rows apply after the
+// rebuild, and the last row appended is the slot's newest state: a
+// transaction that begins once they committed must read them, and its
+// read-modify-write must build on them. With rows sorted by ts instead,
+// the staged write sorted below the rebuilt row, the snapshot read the
+// pre-crash value, and the increment committed over the staged write with
+// no conflict: an acknowledged update lost. The batcher is driven by hand,
+// so the interleaving is forced, not raced for.
+func TestStagedWriteAfterCommittedCrash(t *testing.T) {
+	cfg := Config{Mode: workloads.GPM, Shards: 1, Sets: 64, MaxBatch: 64}
+	if err := cfg.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	sh, err := NewShard(0, ShardConfig{Mode: cfg.Mode, Sets: cfg.Sets, MaxBatch: cfg.MaxBatch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := newShardWorker(sh, cfg, telemetry.New().Registry())
+	w.oracle, w.snaps = newOracle(0), newSnapRegistry()
+	admit := func(r *request) *request {
+		r.enq, r.done = time.Now(), make(chan string, 1)
+		w.admit(r)
+		return r
+	}
+	set := func(key, val uint64) *request { return admit(&request{op: 'S', key: key, val: val}) }
+	commit := func() { w.onCommit(<-w.commitCh) }
+	snapGet := func(key, snap uint64) (uint64, bool, bool) {
+		return sh.mvcc.readAt(key, sh.SlotOf(key), snap)
+	}
+	const k = 11
+
+	// The crashed epoch writes k; the next epoch, staged behind it before
+	// the applier starts, writes k again and then another key, so the
+	// rebuild ts lies above the staged write of k.
+	sh.SetCrashPlan(&ShardCrashPlan{ApplyIndex: 1, Point: CrashBeforeReply})
+	set(k, 1)
+	w.dispatch()
+	staged := []*request{set(k, 2), set(k+1, 3)}
+	if len(w.staged) != 1 {
+		t.Fatalf("staged epochs = %d, want 1 behind the in-flight one", len(w.staged))
+	}
+	go w.applyLoop()
+	defer func() {
+		close(w.dispatchCh)
+		<-w.applierDone
+	}()
+	commit()
+	if !sh.PlanFired() {
+		t.Fatal("crash plan never fired")
+	}
+
+	// While the staged epoch is still pending, the stable floor lies below
+	// its timestamps, hence below the rebuild ts: a snapshot taken now is
+	// too old to read, and its transaction must retry.
+	snap := w.snaps.begin(w.oracle)
+	if _, _, tooOld := snapGet(k, snap); !tooOld {
+		t.Errorf("snapshot %d taken with pre-crash epochs staged read k; want snapshot too old", snap)
+	}
+	w.snaps.release(snap)
+
+	w.dispatch()
+	commit()
+	for _, r := range staged {
+		if got := <-r.done; got != "OK" {
+			t.Fatalf("staged SET -> %q", got)
+		}
+	}
+
+	snap = w.snaps.begin(w.oracle)
+	got, found, tooOld := snapGet(k, snap)
+	if tooOld || !found || got != 2 {
+		t.Errorf("GET k @%d = (%d, %v, too old %v), want the staged write 2", snap, got, found, tooOld)
+	}
+	w.snaps.release(snap)
+	inc := admit(&request{op: 'C', key: k, snap: snap,
+		txn: &txnOp{keys: []uint64{k}, vals: []uint64{got + 1}, dels: []bool{false}}})
+	w.dispatch()
+	commit()
+	if reply := <-inc.done; !strings.HasPrefix(reply, "COMMITTED ") {
+		t.Fatalf("increment COMMIT -> %q", reply)
+	}
+	if v, ok := sh.MVCCLatest(k); !ok || v != 3 {
+		t.Errorf("k after the increment = %d (present %v), want 3", v, ok)
+	}
+	if err := sh.Verify(); err != nil {
+		t.Fatal(err)
+	}
+}
