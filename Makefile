@@ -80,11 +80,13 @@ obs-smoke:
 # The engine's bit-identity contract: a spawn window of 1 block vs 8 must
 # produce identical simulated durations, metrics TSV, trace bytes, and
 # campaign verdicts, and the engine's window tests (waves wider than the
-# window, every block parking on atomics) and the coalescer's rule table
-# must hold — under the race detector, at 1 and 4 host CPUs. The default window is GOMAXPROCS, so -cpu
-# is what varies it for every kernel that does not set it.
+# window, every block parking on atomics), the coalescer's rule table and
+# the dead launch after an abort (no thread runs, the windows still
+# advance) must hold — under the race detector, at 1 and 4 host CPUs. The
+# default window is GOMAXPROCS, so -cpu is what varies it for every kernel
+# that does not set it.
 determinism:
-	$(GO) test -race -timeout 25m -cpu=1,4 -run 'TestDeterminism|TestWindow|TestMixedKernelDeterminism|TestCoalescerRules' ./internal/experiments/ ./internal/gpu/
+	$(GO) test -race -timeout 25m -cpu=1,4 -run 'TestDeterminism|TestWindow|TestMixedKernelDeterminism|TestCoalescerRules|TestLaunchAfterAbortRunsNoThread' ./internal/experiments/ ./internal/gpu/
 
 # Run the serve package's fuzz targets past their seed corpora, 30 s each:
 # the wire parser, and the MVCC slot rows against the per-key chain model

@@ -1,6 +1,9 @@
 package crash
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
@@ -12,10 +15,30 @@ import (
 	"github.com/gpm-sim/gpm/internal/workloads"
 )
 
+// campaignGolden pins each workload's TestCampaignAllWorkloads records: the
+// sha256 of their JSON. Crash points, fault seeds and simulated restore
+// times all derive from the canonical crash instant, so a host-side change
+// to the crash path (thread scheduling, dead launches, load decoding) must
+// leave every digest as it is; only a change to what a workload or the
+// memory system simulates may move one.
+var campaignGolden = map[string]string{
+	"gpKVS":   "80b02547e6830cf333132b46ff088d3ed0557cee5257691a8729237e957195af",
+	"gpDB(I)": "dd213a2726fb7bfc10879506b76ba544aec8fe1bec87223e3f49f7fe7e090967",
+	"gpDB(U)": "16dd991eb0f2a0078c5cb88f4ce3dd0e124055e0bb92030d28cb5ea70995b323",
+	"DNN":     "7ab01438804115968861378a27b8a2be00a5e3bf3e3a251b1718f6267e44721f",
+	"CFD":     "1b82348f713561b1f3926251674fb185290017dc31113f93052c02ba43a3fed9",
+	"BLK":     "2ea310314917f6d4e10152459ded3074c7aea5f5a298bab8e016204e358ce33f",
+	"HS":      "6ce0afb5a98be688b93d5374db29b5432167e34d1fa1bea515ba110682ce901e",
+	"BFS":     "49b2359aedfabe6145983c4427a32634fb51cb5fe0115f524f58941d02a1ceb6",
+	"SRAD":    "5a3cab2d7d8286a0ef0dc6f7f80472635f92175faa6276c7c2183854ebb0dc89",
+	"PS":      "d6e4582dbdeac6c93fadb63a8fbe57b05cbd6c2a01301f3a9cb8274b8812907e",
+}
+
 // TestCampaignAllWorkloads is the acceptance sweep: every recoverable
 // GPMbench workload must survive all four fault models at crash points
 // strided across the whole execution, with the power failing twice more
-// during each recovery. Any record with a non-empty Err is a recovery bug.
+// during each recovery. Any record with a non-empty Err is a recovery bug,
+// and the records must match their golden digest.
 func TestCampaignAllWorkloads(t *testing.T) {
 	cfg := workloads.QuickConfig()
 	for _, mk := range append(experiments.Crashers(), experiments.NativeCrashers()...) {
@@ -47,6 +70,14 @@ func TestCampaignAllWorkloads(t *testing.T) {
 					t.Errorf("%s/%s/%s: odd record: crash at op %d, restore %g us",
 						r.Workload, r.Mode, r.Model, r.CrashAt, r.RestoreUS)
 				}
+			}
+			js, err := json.Marshal(wc.Runs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(js)
+			if got, want := hex.EncodeToString(sum[:]), campaignGolden[wc.Workload]; got != want {
+				t.Errorf("records digest = %s, want %s", got, want)
 			}
 		})
 	}

@@ -274,6 +274,12 @@ type Result struct {
 // Launch runs a 1-D grid of blocks×threadsPerBlock threads, executing kern
 // for every thread, and returns the simulated execution result. It blocks
 // until the kernel completes (cudaDeviceSynchronize semantics).
+//
+// Once the abort check has fired, a launch runs no thread; it reports each
+// one unwinding at its first operation (Crashed, bare launch overhead, one
+// op reserved per thread). So no kernel code, Compute or Serialize runs
+// after the abort instant, and none may matter: CrashWith cuts the image at
+// that instant, and an aborted recovery is power-failed.
 func (d *Device) Launch(name string, blocks, threadsPerBlock int, kern func(*Thread)) Result {
 	if blocks <= 0 || threadsPerBlock <= 0 {
 		panic(fmt.Sprintf("gpu: invalid grid %dx%d for kernel %s", blocks, threadsPerBlock, name))
@@ -296,8 +302,13 @@ func (d *Device) Launch(name string, blocks, threadsPerBlock int, kern func(*Thr
 	// window bounds how many run at once. The engine's quiescence protocol
 	// keeps atomics and fault injection deterministic for any window size;
 	// everything below the wave loop is a serial reduction in block-ID
-	// order.
-	for w := 0; w < waves; w++ {
+	// order. A dead launch (see above) runs no block and fills in outcomes.
+	dead := eng.abortEnabled && eng.alreadyAborted
+	for b := 0; dead && b < blocks; b++ {
+		blockStats[b] = newStats()
+		outcomes[b] = blockOutcome{maxLocal: 1, minAbort: eng.opBase + int64(b*tpb) + 1}
+	}
+	for w := 0; w < waves && !dead; w++ {
 		lo, hi := w*concurrent, (w+1)*concurrent
 		if hi > blocks {
 			hi = blocks

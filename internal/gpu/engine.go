@@ -57,7 +57,7 @@ type engine struct {
 	seqBase        uint64 // PM sequence window base for this launch
 	abortEnabled   bool
 	abortCheck     func(op int64) bool
-	alreadyAborted bool // a previous launch aborted; every op aborts
+	alreadyAborted bool // a previous launch aborted: this launch runs no thread
 
 	mu        sync.Mutex
 	spawnCond *sync.Cond

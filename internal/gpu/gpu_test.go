@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"math"
 	"reflect"
 	"sync/atomic"
 	"testing"
@@ -373,6 +374,48 @@ func TestCrashWithBarriersDoesNotDeadlock(t *testing.T) {
 	d.SetAbortCheck(nil)
 }
 
+// TestLaunchAfterAbortRunsNoThread: once the abort check has fired, a later
+// launch enters no kernel body, since every thread would unwind at its
+// first operation. It still reports what those unwinds add up to: a crashed
+// launch of bare launch overhead with no traffic, which executes no
+// operation and reserves one per thread in the op and PM-sequence windows.
+func TestLaunchAfterAbortRunsNoThread(t *testing.T) {
+	d := newDev(t)
+	addr := d.Space.AllocPM(1<<16, 0)
+	d.SetAbortCheck(func(op int64) bool { return op >= 100 })
+	defer d.SetAbortCheck(nil)
+	first := d.Launch("doomed", 2, 64, func(th *Thread) {
+		th.StoreU32(addr+uint64(4*th.GlobalID()), 1)
+		th.StoreU32(addr+uint64(4*th.GlobalID()), 2)
+	})
+	if !first.Crashed {
+		t.Fatal("launch 1 did not crash")
+	}
+	ops, seq := d.ObservedOps(), d.Space.SeqMark()
+	const blocks, tpb = 3, 96
+	var entered atomic.Int64
+	res := d.Launch("dead", blocks, tpb, func(th *Thread) {
+		entered.Add(1)
+		th.Compute(sim.Microsecond)
+		th.StoreU32(addr, 3)
+	})
+	if n := entered.Load(); n != 0 {
+		t.Errorf("dead launch entered its kernel body %d times", n)
+	}
+	if !res.Crashed || res.Elapsed != d.Params.KernelLaunch {
+		t.Errorf("dead launch: crashed %v, elapsed %v; want true, %v", res.Crashed, res.Elapsed, d.Params.KernelLaunch)
+	}
+	if zero := (Stats{Serial: map[string]sim.Duration{}}); !reflect.DeepEqual(res.Stats, zero) {
+		t.Errorf("dead launch stats = %+v, want none", res.Stats)
+	}
+	if got := d.ObservedOps(); got != ops {
+		t.Errorf("ObservedOps moved from %d to %d", ops, got)
+	}
+	if got := d.Space.SeqMark(); got != seq+blocks*tpb {
+		t.Errorf("SeqMark advanced by %d, want %d", got-seq, blocks*tpb)
+	}
+}
+
 func TestLoadStoreTypes(t *testing.T) {
 	d := newDev(t)
 	a := d.Space.AllocHBM(64)
@@ -425,7 +468,7 @@ func TestInvalidLaunchPanics(t *testing.T) {
 }
 
 // LoadF32s is one wide load: the same transactions, bytes and time as a
-// LoadBytes of 4n bytes, decoded into a buffer the thread keeps, so a row
+// LoadBytes of 4n bytes, copied into a buffer the thread keeps, so a row
 // load allocates nothing once the buffer has grown.
 func TestLoadF32sIsOneAllocationFreeWideLoad(t *testing.T) {
 	const n = 200
@@ -462,6 +505,48 @@ func TestLoadF32sIsOneAllocationFreeWideLoad(t *testing.T) {
 		t.Errorf("row loads (%d txns, %d B, %v) differ from raw loads (%d txns, %d B, %v)",
 			rows.Stats.PMReadTxns, rows.Stats.PMReadBytes, rows.Elapsed,
 			raw.Stats.PMReadTxns, raw.Stats.PMReadBytes, raw.Elapsed)
+	}
+}
+
+// TestLoadF32sBitExact: a row load returns the stored bits of every element,
+// the same as one LoadF32 each, in every memory kind. The values are the
+// ones a decode could alter (NaN payloads, quiet and signalling, negative
+// zero, infinities, the smallest subnormals), and the row starts 4- but not
+// 8-aligned.
+func TestLoadF32sBitExact(t *testing.T) {
+	vals := []uint32{0x7fc00001, 0xffbfffff, 0x7f800001, 0x80000000, 0x7f800000,
+		0xff800000, 0x00000001, 0x80000001, 0x3f800000, 0xc0490fdb}
+	n := len(vals)
+	d := newDev(t)
+	for _, mem := range []struct {
+		name string
+		base uint64
+	}{
+		{"HBM", d.Space.AllocHBM(int64(8 + 4*n))},
+		{"PM", d.Space.AllocPM(int64(8+4*n), 0)},
+		{"DRAM", d.Space.AllocDRAM(int64(8 + 4*n))},
+	} {
+		row := mem.base + 4
+		if row%8 != 4 {
+			t.Fatalf("%s row at %#x is 8-aligned", mem.name, row)
+		}
+		for i, v := range vals {
+			d.Space.WriteU32(row+uint64(4*i), v)
+		}
+		wide, each := make([]uint32, n), make([]uint32, n)
+		d.Launch("row", 1, 1, func(th *Thread) {
+			for i, f := range th.LoadF32s(0, row, n) {
+				wide[i] = math.Float32bits(f)
+			}
+			for i := range each {
+				each[i] = math.Float32bits(th.LoadF32(row + uint64(4*i)))
+			}
+		})
+		for i, v := range vals {
+			if wide[i] != v || each[i] != v {
+				t.Errorf("%s element %d: LoadF32s %#08x, LoadF32 %#08x, stored %#08x", mem.name, i, wide[i], each[i], v)
+			}
+		}
 	}
 }
 

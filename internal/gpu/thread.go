@@ -3,6 +3,8 @@ package gpu
 import (
 	"encoding/binary"
 	"math"
+	"math/bits"
+	"unsafe"
 
 	"github.com/gpm-sim/gpm/internal/memsys"
 	"github.com/gpm-sim/gpm/internal/sim"
@@ -40,7 +42,6 @@ type Thread struct {
 
 	lineScratch []uint64            // reused dirty-line buffer for stores
 	seenLines   map[uint64]struct{} // reused dedupe scratch
-	rowBytes    []byte              // reused raw buffer for LoadF32s
 	rows        [2][]float32        // LoadF32s row buffers
 
 	// Canonical-index state (see engine.go). opIdx counts this thread's
@@ -119,13 +120,14 @@ func (t *Thread) access(kind opKind, addr uint64, size int) {
 // fault-injection check against it. With the monotone checks the campaign
 // uses (op >= K), every thread executes exactly its operations with index
 // below K and unwinds at its first index at or past K — the same canonical
-// crash instant for every spawn window.
+// crash instant for every spawn window. A launch started after the check
+// fired runs no thread (see Device.Launch).
 func (t *Thread) checkCrash() {
 	eng := t.blk.eng
 	t.opIdx++
 	idx := eng.opBase + (t.opIdx-1)*eng.gridThreads + int64(t.GlobalID()) + 1
 	t.curSeq = eng.seqBase + uint64(idx-eng.opBase)
-	if eng.abortEnabled && (eng.alreadyAborted || eng.abortCheck(idx)) {
+	if eng.abortEnabled && eng.abortCheck(idx) {
 		t.abortedAt = idx
 		t.blk.dev.aborted.Store(true)
 		panic(ErrCrashed)
@@ -181,23 +183,26 @@ func (t *Thread) LoadBytes(addr uint64, p []byte) {
 	t.access(opLoad, addr, len(p))
 }
 
+// bigEndianHost: the host's byte order is not the simulated memory's.
+var bigEndianHost = binary.NativeEndian.Uint16([]byte{0, 1}) == 1
+
 // LoadF32s reads n contiguous little-endian float32s at addr as one wide
 // load of 4n bytes (a vectorized row fetch) into row buffer buf (0 or 1),
-// so a thread can hold two rows at once. The slice stays valid until the
-// thread's next LoadF32s into the same buffer; the buffers are reused
-// across launches, so the load allocates nothing once they have grown to n.
+// so a thread can hold two rows at once. The bytes are copied into the row
+// as they are (a big-endian host then swaps each element). The slice stays
+// valid until the thread's next LoadF32s into the same buffer; the buffers
+// are reused across launches, so the load allocates nothing once they have
+// grown to n.
 func (t *Thread) LoadF32s(buf int, addr uint64, n int) []float32 {
-	if cap(t.rowBytes) < 4*n {
-		t.rowBytes = make([]byte, 4*n)
-	}
-	raw := t.rowBytes[:4*n]
-	t.LoadBytes(addr, raw)
 	if cap(t.rows[buf]) < n {
 		t.rows[buf] = make([]float32, n)
 	}
 	row := t.rows[buf][:n]
-	for i := range row {
-		row[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
+	// unsafe: the load lands in the row's own bytes, so no per-element
+	// decode pass, which costs far more than the copy, follows it.
+	t.LoadBytes(addr, unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(row))), 4*n))
+	for i := 0; bigEndianHost && i < n; i++ {
+		row[i] = math.Float32frombits(bits.ReverseBytes32(math.Float32bits(row[i])))
 	}
 	return row
 }
